@@ -36,8 +36,8 @@ use crate::differential::{case_graph_weighted, mismatches, CaseGraph};
 use agg_core::{Query, RunOptions, Session};
 use agg_cpu::CpuCostModel;
 use agg_dynamic::{
-    cpu_apply_plan, minimize_updates, plan_repair, random_batch, DynamicGraph, EdgeUpdate,
-    RepairKind, RepairPlan, UpdateBatch,
+    cpu_apply_plan, minimize_updates, plan_repair, random_batch, ApplyOutcome, DynamicGraph,
+    EdgeUpdate, RepairKind, RepairPlan, UpdateBatch,
 };
 use agg_gpu_sim::{DeviceConfig, Json, SimFidelity};
 use agg_graph::{CsrGraph, NodeId, INF};
@@ -218,16 +218,13 @@ fn query_for(kind: RepairKind, src: NodeId) -> Query {
 }
 
 /// Replays `updates` from `before` and returns the updated snapshot with
-/// its net effect, or `None` when the batch is invalid or a net no-op
-/// (the minimizer treats both as "does not reproduce").
-fn replay_updates(
-    before: &CsrGraph,
-    updates: &[EdgeUpdate],
-) -> Option<(CsrGraph, Vec<(NodeId, NodeId, u32)>, Vec<(NodeId, NodeId, u32)>)> {
+/// its net effect, or `None` when the batch is invalid (the minimizer
+/// treats that as "does not reproduce").
+fn replay_updates(before: &CsrGraph, updates: &[EdgeUpdate]) -> Option<(CsrGraph, ApplyOutcome)> {
     let mut dg = DynamicGraph::new(before.clone());
     let out = dg.apply(&UpdateBatch::from_updates(updates.to_vec())).ok()?;
     let snap = dg.snapshot().ok()?.clone();
-    Some((snap, out.added, out.removed))
+    Some((snap, out))
 }
 
 /// The expected fixpoint: a from-scratch CPU recompute on `g`.
@@ -418,12 +415,13 @@ fn minimize_for_lane(
 ) -> Vec<EdgeUpdate> {
     let device = DeviceConfig::tesla_c2070().with_fidelity(SimFidelity::Functional);
     let fails = |cand: &[EdgeUpdate]| -> bool {
-        let Some((snap, added, removed)) = replay_updates(before, cand) else {
+        let Some((snap, out)) = replay_updates(before, cand) else {
             return false;
         };
         let expected = truth(&snap, kind, src, model);
         let (sn, sm) = (snap.node_count(), snap.edge_count());
-        let plan = plan_repair(kind, old, &added, &removed, sn, sm, sm as f64 / sn.max(1) as f64);
+        let avg = sm as f64 / sn.max(1) as f64;
+        let plan = plan_repair(kind, old, &out.added, &out.removed, sn, sm, avg);
         match lane {
             "gpu-fresh" => Session::with_device(&snap, device.clone())
                 .and_then(|mut s| s.run(query_for(kind, src), opts))
@@ -436,7 +434,7 @@ fn minimize_for_lane(
                     return false;
                 }
                 Session::with_device(&snap, device.clone())
-                    .and_then(|mut s| s.run_warm(query_for(kind, src), opts, old, &added))
+                    .and_then(|mut s| s.run_warm(query_for(kind, src), opts, old, &out.added))
                     .map(|r| r.values != expected)
                     .unwrap_or(true)
             }

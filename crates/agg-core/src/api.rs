@@ -4,8 +4,8 @@
 //! algorithms on them".
 
 use crate::engine::{run, CoreError, Query, RunOptions, RunReport};
-use agg_gpu_sim::{Device, DeviceConfig, ExecMode};
-use agg_graph::{CsrGraph, NodeId};
+use agg_gpu_sim::{Device, DeviceConfig};
+use agg_graph::CsrGraph;
 use agg_kernels::{AlgoState, DeviceGraph, GpuKernels};
 
 /// A graph resident on the (simulated) GPU, ready for repeated queries
@@ -44,16 +44,7 @@ impl GpuGraph {
 
     /// Uploads `g` to a device with the given configuration.
     pub fn with_device(g: &CsrGraph, cfg: DeviceConfig) -> Result<GpuGraph, CoreError> {
-        GpuGraph::build(g, Device::try_new(cfg)?)
-    }
-
-    /// Uploads `g` to a device that interprets blocks on parallel host threads
-    /// (identical results, faster simulation on multicore hosts).
-    pub fn with_parallel_host(g: &CsrGraph, cfg: DeviceConfig) -> Result<GpuGraph, CoreError> {
-        GpuGraph::build(g, Device::try_new(cfg.with_host_exec(ExecMode::Parallel))?)
-    }
-
-    fn build(g: &CsrGraph, mut dev: Device) -> Result<GpuGraph, CoreError> {
+        let mut dev = Device::try_new(cfg)?;
         let kernels = GpuKernels::build();
         let dg = DeviceGraph::upload(&mut dev, g);
         let state = AlgoState::new(&mut dev, dg.n, 0)?;
@@ -73,10 +64,9 @@ impl GpuGraph {
         self.dg.upload_reverse(&mut self.dev, g);
     }
 
-    /// Runs one typed query against the resident graph. This is the
-    /// single entrypoint that replaced the `bfs/bfs_with/...` method
-    /// matrix: the algorithm and its parameters travel in [`Query`],
-    /// execution policy in [`RunOptions`].
+    /// Runs one typed query against the resident graph: the algorithm
+    /// and its parameters travel in [`Query`], execution policy in
+    /// [`RunOptions`].
     pub fn run(&mut self, query: Query, options: &RunOptions) -> Result<RunReport, CoreError> {
         if matches!(query, Query::PageRank { .. }) && self.dg.rrow.is_none() {
             // PageRank's gather walks the transpose; upload it once on
@@ -91,76 +81,6 @@ impl GpuGraph {
             query,
             options,
         )
-    }
-
-    /// BFS from `src` with the adaptive runtime and default tuning.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use run(Query::Bfs { src }, &RunOptions::default())"
-    )]
-    pub fn bfs(&mut self, src: NodeId) -> Result<RunReport, CoreError> {
-        self.run(Query::Bfs { src }, &RunOptions::default())
-    }
-
-    /// BFS from `src` with explicit options (static variants, tracing,
-    /// tuning overrides).
-    #[deprecated(since = "0.2.0", note = "use run(Query::Bfs { src }, options)")]
-    pub fn bfs_with(&mut self, src: NodeId, options: &RunOptions) -> Result<RunReport, CoreError> {
-        self.run(Query::Bfs { src }, options)
-    }
-
-    /// SSSP from `src` with the adaptive runtime and default tuning. The
-    /// graph must be weighted.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use run(Query::Sssp { src }, &RunOptions::default())"
-    )]
-    pub fn sssp(&mut self, src: NodeId) -> Result<RunReport, CoreError> {
-        self.run(Query::Sssp { src }, &RunOptions::default())
-    }
-
-    /// SSSP from `src` with explicit options.
-    #[deprecated(since = "0.2.0", note = "use run(Query::Sssp { src }, options)")]
-    pub fn sssp_with(&mut self, src: NodeId, options: &RunOptions) -> Result<RunReport, CoreError> {
-        self.run(Query::Sssp { src }, options)
-    }
-
-    /// Connected components by min-label propagation (extension). The
-    /// graph should be symmetric for component semantics; on directed
-    /// graphs the result is the min-reachable-label fixpoint.
-    #[deprecated(since = "0.2.0", note = "use run(Query::Cc, &RunOptions::default())")]
-    pub fn connected_components(&mut self) -> Result<RunReport, CoreError> {
-        self.run(Query::Cc, &RunOptions::default())
-    }
-
-    /// Connected components with explicit options.
-    #[deprecated(since = "0.2.0", note = "use run(Query::Cc, options)")]
-    pub fn connected_components_with(
-        &mut self,
-        options: &RunOptions,
-    ) -> Result<RunReport, CoreError> {
-        self.run(Query::Cc, options)
-    }
-
-    /// PageRank-delta with default parameters (d = 0.85, ε = 1e-4)
-    /// (extension). Ranks come back as f32 via
-    /// [`RunReport::values_as_f32`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use run(Query::pagerank(), &RunOptions::default())"
-    )]
-    pub fn pagerank(&mut self) -> Result<RunReport, CoreError> {
-        self.run(Query::pagerank(), &RunOptions::default())
-    }
-
-    /// PageRank-delta with explicit options. Damping/ε moved into
-    /// [`Query::PageRank`]; this shim runs the defaults.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use run(Query::PageRank { config }, options); damping/epsilon moved into the query"
-    )]
-    pub fn pagerank_with(&mut self, options: &RunOptions) -> Result<RunReport, CoreError> {
-        self.run(Query::pagerank(), options)
     }
 
     /// Node count of the uploaded graph.
@@ -272,18 +192,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn parallel_host_mode_gives_identical_results() {
-        let g = Dataset::Amazon.generate_weighted(Scale::Tiny, 34, 32);
-        let mut seq = GpuGraph::new(&g).unwrap();
-        let mut par = GpuGraph::with_parallel_host(&g, DeviceConfig::tesla_c2070()).unwrap();
-        let opts = RunOptions::default();
-        assert_eq!(
-            seq.run(Query::Sssp { src: 0 }, &opts).unwrap().values,
-            par.run(Query::Sssp { src: 0 }, &opts).unwrap().values
-        );
-    }
-
     /// The full engine-driven kernel suite — adaptive BFS/SSSP, CC,
     /// PageRank, direction-optimized BFS — must be free of harmful data
     /// races, and the per-run metrics must carry the detector's counters.
@@ -322,48 +230,5 @@ mod tests {
         assert!(gg.device().race_summary().is_clean());
         let s = r.metrics.to_json().render();
         assert!(s.contains("\"race_harmful_words\":0"), "{s}");
-    }
-
-    /// Shim-compat: the deprecated method matrix keeps working for one
-    /// release and agrees with the typed entrypoint. This is the one
-    /// place in the workspace allowed to call it.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_method_matrix_matches_run() {
-        let g = Dataset::Amazon.generate_weighted(Scale::Tiny, 37, 64);
-        let mut gg = GpuGraph::new(&g).unwrap();
-        let opts = RunOptions::default();
-        assert_eq!(
-            gg.bfs(0).unwrap().values,
-            gg.run(Query::Bfs { src: 0 }, &opts).unwrap().values
-        );
-        assert_eq!(
-            gg.bfs_with(0, &opts).unwrap().values,
-            gg.run(Query::Bfs { src: 0 }, &opts).unwrap().values
-        );
-        assert_eq!(
-            gg.sssp(0).unwrap().values,
-            gg.run(Query::Sssp { src: 0 }, &opts).unwrap().values
-        );
-        assert_eq!(
-            gg.sssp_with(0, &opts).unwrap().values,
-            gg.run(Query::Sssp { src: 0 }, &opts).unwrap().values
-        );
-        assert_eq!(
-            gg.connected_components().unwrap().values,
-            gg.run(Query::Cc, &opts).unwrap().values
-        );
-        assert_eq!(
-            gg.connected_components_with(&opts).unwrap().values,
-            gg.run(Query::Cc, &opts).unwrap().values
-        );
-        assert_eq!(
-            gg.pagerank().unwrap().values,
-            gg.run(Query::pagerank(), &opts).unwrap().values
-        );
-        assert_eq!(
-            gg.pagerank_with(&opts).unwrap().values,
-            gg.run(Query::pagerank(), &opts).unwrap().values
-        );
     }
 }

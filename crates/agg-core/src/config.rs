@@ -2,13 +2,12 @@
 //! Figure 11 and the inspector's sampling rate (Section VI.E).
 
 use agg_gpu_sim::DeviceConfig;
-use serde::{Deserialize, Serialize};
 
 /// Which average outdegree the decision maker consumes (Section VI.E:
 /// the paper uses the whole-graph value to keep inspector overhead low;
 /// the working-set value is the precise-but-expensive alternative this
 /// implementation can ablate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegreeMode {
     /// One value computed at upload time; zero per-iteration cost.
     WholeGraph,
@@ -18,7 +17,7 @@ pub enum DegreeMode {
 }
 
 /// Thresholds and tuning knobs of the decision maker and graph inspector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveConfig {
     /// T1: average outdegree below which thread mapping beats block
     /// mapping for large working sets. The paper fixes it at the warp

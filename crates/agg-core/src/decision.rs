@@ -19,10 +19,9 @@
 
 use crate::config::AdaptiveConfig;
 use agg_kernels::{AlgoOrder, Mapping, Variant, WorkSet};
-use serde::{Deserialize, Serialize};
 
 /// The five regions of the decision space (for rendering and tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Region {
     /// `ws < T2`: always block mapping + queue.
     SmallWs,

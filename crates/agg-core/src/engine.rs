@@ -30,11 +30,10 @@ use agg_gpu_sim::mem::transfer::transfer_ns;
 use agg_gpu_sim::prelude::*;
 use agg_graph::{NodeId, INF};
 use agg_kernels::{AlgoOrder, AlgoState, DeviceGraph, GpuKernels, Mapping, Variant, WorkSet};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algo {
     /// Breadth-first search (levels).
     Bfs,
@@ -51,7 +50,7 @@ pub enum Algo {
 }
 
 /// Implementation-selection strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Strategy {
     /// One fixed variant for the whole traversal (the paper's Tables 2/3).
     Static(Variant),
@@ -91,7 +90,7 @@ pub enum Strategy {
 
 /// Working-set census policy for bitmap iterations (queue iterations know
 /// their size for free from the length counter).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CensusMode {
     /// Never run the census kernel; termination uses the nonempty flag.
     Off,
@@ -103,7 +102,7 @@ pub enum CensusMode {
 }
 
 /// PageRank-delta parameters (extension).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PageRankConfig {
     /// Damping factor `d` (teleport probability `1 - d`).
     pub damping: f32,
@@ -126,7 +125,7 @@ impl Default for PageRankConfig {
 /// `GpuGraph::run` — source nodes belong to the traversal queries and
 /// PageRank's damping/ε belong to [`Query::PageRank`], so [`RunOptions`]
 /// carries only algorithm-independent execution policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Query {
     /// Breadth-first search (levels) from `src`.
     Bfs {
@@ -247,7 +246,7 @@ impl Query {
 /// let opts = RunOptions::adaptive().trace().census(CensusMode::Every).build();
 /// assert!(opts.record_trace);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub struct RunOptions {
     /// Selection strategy.
@@ -358,7 +357,7 @@ impl RunOptionsBuilder {
 }
 
 /// One iteration's trace entry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterationRecord {
     /// 1-based iteration number.
     pub iteration: u32,
@@ -416,7 +415,7 @@ impl IterationRecord {
 }
 
 /// The result of a traversal run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Final per-node values (levels, distances, or labels).
     pub values: Vec<u32>,
@@ -788,24 +787,26 @@ impl<'a> Ctx<'a> {
 }
 
 /// Rejects malformed queries and nonexistent algorithm/strategy
-/// combinations up front, before any state is touched. The session layer
-/// calls this to fail a whole batch fast.
+/// combinations up front, before any state is touched, for a graph of `n`
+/// nodes. The session layer calls this to fail a whole batch fast, and
+/// the sharded runtime to check queries against the whole graph.
 pub(crate) fn validate_query(
     query: Query,
     options: &RunOptions,
-    dg: &DeviceGraph,
+    n: u32,
+    weighted: bool,
 ) -> Result<(), CoreError> {
     let algo = query.algo();
-    if algo == Algo::Sssp && dg.weights.is_none() {
+    if algo == Algo::Sssp && !weighted {
         return Err(CoreError::InvalidQuery {
             detail: "SSSP requires a weighted graph (use generate_weighted / with_weights)".into(),
         });
     }
-    if matches!(query, Query::Bfs { .. } | Query::Sssp { .. }) && dg.n > 0 {
+    if matches!(query, Query::Bfs { .. } | Query::Sssp { .. }) && n > 0 {
         let src = query.source();
-        if src >= dg.n {
+        if src >= n {
             return Err(CoreError::InvalidQuery {
-                detail: format!("source {src} out of range (graph has {} nodes)", dg.n),
+                detail: format!("source {src} out of range (graph has {n} nodes)"),
             });
         }
     }
@@ -918,110 +919,191 @@ pub fn run(
     query: Query,
     options: &RunOptions,
 ) -> Result<RunReport, CoreError> {
-    run_inner(dev, kernels, dg, state, query, options, None)
+    drive(dev, kernels, dg, state, query, options, Seed::Cold)
 }
 
-/// A warm start for incremental repair: the previous fixpoint plus the
-/// net-inserted edges whose relaxation seeds the first working set.
-struct WarmSpec<'a> {
-    /// The value array of the previous fixpoint (length `n`).
-    values: &'a [u32],
-    /// Net-inserted `(src, dst, weight)` edges. Weights are remapped per
-    /// algorithm before upload (BFS → 1, CC → 0, SSSP → as given).
-    added: &'a [(u32, u32, u32)],
+/// How a run's state is seeded before the first iteration.
+#[derive(Clone, Copy)]
+pub(crate) enum Seed<'a> {
+    /// Reset for the query: its source, iota labels, or initial ranks.
+    Cold,
+    /// Incremental repair (see [`crate::Session::run_warm`]): start from
+    /// `values`, the pre-update fixpoint, and seed the working set by
+    /// relaxing `added`, the net-inserted `(src, dst, weight)` edges, with
+    /// weights remapped per algorithm (BFS → 1, CC → 0, SSSP → as given).
+    Warm {
+        values: &'a [u32],
+        added: &'a [(u32, u32, u32)],
+    },
 }
 
-/// Runs one typed query *warm*: instead of resetting state for the
-/// query's source, the device starts from `warm_values` (the fixpoint of
-/// the pre-update graph, with any affecting deletions already ruled out
-/// by the caller) and seeds the working set by relaxing `added` — the
-/// update batch's net-inserted edges — via the repair kernel. Because
-/// BFS levels, SSSP distances, and CC labels are unique fixpoints of a
-/// monotone relaxation, the result is bit-identical to a from-scratch
-/// run on the updated graph (`dg` must already hold it).
-///
-/// Only unordered relaxation can re-improve finite values, so ordered
-/// static variants, `Hybrid`, and `DirectionOptimized` are rejected
-/// (`Adaptive` always selects unordered variants), as is PageRank.
-pub fn run_warm(
-    dev: &mut Device,
-    kernels: &GpuKernels,
-    dg: &DeviceGraph,
-    state: &AlgoState,
-    query: Query,
-    options: &RunOptions,
-    warm_values: &[u32],
-    added: &[(u32, u32, u32)],
-) -> Result<RunReport, CoreError> {
-    validate_query(query, options, dg)?;
-    if query.algo() == Algo::PageRank {
+/// The automatic iteration safety cap (`4n + 64`) unless `options` sets
+/// one.
+pub(crate) fn iteration_cap(options: &RunOptions, n: u32) -> u64 {
+    if options.max_iterations == 0 {
+        4 * n as u64 + 64
+    } else {
+        options.max_iterations
+    }
+}
+
+/// Rejects the algorithm/strategy combinations a warm start cannot serve.
+fn validate_warm(algo: Algo, strategy: Strategy) -> Result<(), CoreError> {
+    if algo == Algo::PageRank {
         return Err(CoreError::Unsupported {
             detail: "warm-start repair covers the monotone algorithms (BFS/SSSP/CC); \
                      PageRank updates recompute"
                 .into(),
         });
     }
-    match options.strategy {
+    match strategy {
         Strategy::Hybrid { .. } | Strategy::DirectionOptimized { .. } => {
-            return Err(CoreError::Unsupported {
+            Err(CoreError::Unsupported {
                 detail: "warm-start repair supports Adaptive, Static (unordered), and \
                          VirtualWarp strategies only"
                     .into(),
-            });
+            })
         }
-        Strategy::Static(v) if v.order == AlgoOrder::Ordered => {
-            return Err(CoreError::Unsupported {
-                detail: "warm-start repair needs unordered relaxation; ordered variants \
-                         never re-improve finite values"
-                    .into(),
-            });
-        }
-        _ => {}
-    }
-    if dg.n == 0 {
-        return Ok(empty_report());
-    }
-    if warm_values.len() != dg.n as usize {
-        return Err(CoreError::InvalidQuery {
-            detail: format!(
-                "warm value array has {} entries for a {}-node graph",
-                warm_values.len(),
-                dg.n
-            ),
-        });
-    }
-    run_inner(
-        dev,
-        kernels,
-        dg,
-        state,
-        query,
-        options,
-        Some(WarmSpec {
-            values: warm_values,
-            added,
+        Strategy::Static(v) if v.order == AlgoOrder::Ordered => Err(CoreError::Unsupported {
+            detail: "warm-start repair needs unordered relaxation; ordered variants \
+                     never re-improve finite values"
+                .into(),
         }),
-    )
+        _ => Ok(()),
+    }
 }
 
-fn run_inner(
+/// The host half of a hybrid run: a CPU copy of the CSR and of the
+/// traversal state, and which processor currently owns that state.
+struct HostSide {
+    row: Vec<u32>,
+    col: Vec<u32>,
+    weights: Option<Vec<u32>>,
+    values: Vec<u32>,
+    update: Vec<u32>,
+    on_device: bool,
+    gpu_threshold: u32,
+    model: CpuCostModel,
+}
+
+impl HostSide {
+    /// The host owns the CSR (it uploaded it), so reading it back for the
+    /// host-side iterations is free.
+    fn new(
+        dev: &Device,
+        dg: &DeviceGraph,
+        src: NodeId,
+        gpu_threshold: u32,
+    ) -> Result<Self, CoreError> {
+        let n = dg.n as usize;
+        let mut values = vec![INF; n];
+        let mut update = vec![0u32; n];
+        values[src as usize] = 0;
+        update[src as usize] = 1;
+        Ok(HostSide {
+            row: dev.debug_read(dg.row)?,
+            col: dev.debug_read(dg.col)?,
+            weights: dg.weights.map(|w| dev.debug_read(w)).transpose()?,
+            values,
+            update,
+            on_device: false,
+            gpu_threshold,
+            model: CpuCostModel::default(),
+        })
+    }
+
+    /// Moves the state to the processor a working set of `est_ws` calls
+    /// for, charging the value array and update vector across PCIe.
+    /// Returns whether it moved.
+    fn migrate(
+        &mut self,
+        dev: &mut Device,
+        state: &AlgoState,
+        est_ws: u32,
+    ) -> Result<bool, CoreError> {
+        let want_device = est_ws >= self.gpu_threshold.max(1);
+        if want_device == self.on_device {
+            return Ok(false);
+        }
+        if want_device {
+            dev.write(state.value, &self.values)?;
+            dev.write(state.update, &self.update)?;
+        } else {
+            self.values = dev.read(state.value);
+            self.update = dev.read(state.update);
+        }
+        self.on_device = want_device;
+        Ok(true)
+    }
+
+    /// One frontier relaxation on the host, instrumented like the agg-cpu
+    /// baselines. Returns the next working-set size and the modeled host
+    /// time, or `None` when the frontier is empty.
+    fn step(&mut self, algo: Algo) -> Option<(u32, f64)> {
+        let frontier: Vec<u32> = (0..self.update.len() as u32)
+            .filter(|&v| self.update[v as usize] != 0)
+            .collect();
+        if frontier.is_empty() {
+            return None;
+        }
+        let mut c = agg_cpu::CpuCounters::default();
+        for &v in &frontier {
+            self.update[v as usize] = 0;
+        }
+        for &u in &frontier {
+            c.nodes += 1;
+            c.queue_ops += 1;
+            let du = self.values[u as usize];
+            let (lo, hi) = (
+                self.row[u as usize] as usize,
+                self.row[u as usize + 1] as usize,
+            );
+            for (e, &dst) in self.col[lo..hi]
+                .iter()
+                .enumerate()
+                .map(|(i, d)| (lo + i, d))
+            {
+                c.edges += 1;
+                let m = dst as usize;
+                let cand = match algo {
+                    Algo::Bfs => du.saturating_add(1),
+                    Algo::Sssp => {
+                        du.saturating_add(self.weights.as_ref().expect("validated weighted")[e])
+                    }
+                    Algo::Cc | Algo::PageRank => unreachable!("rejected during validation"),
+                };
+                if cand < self.values[m] {
+                    self.values[m] = cand;
+                    self.update[m] = 1;
+                }
+            }
+        }
+        let ws = self.update.iter().filter(|&&u| u != 0).count() as u32;
+        Some((ws, self.model.modeled_ns(&c)))
+    }
+}
+
+/// The adaptive superstep driver behind every single-device run: seed
+/// the state, then per iteration pick a variant (or, for hybrid runs, a
+/// processor), generate and check the working set, and compute, until
+/// the working set is empty. The modeled clock is the device clock plus
+/// the host time of hybrid runs' CPU iterations.
+pub(crate) fn drive(
     dev: &mut Device,
     kernels: &GpuKernels,
     dg: &DeviceGraph,
     state: &AlgoState,
     query: Query,
     options: &RunOptions,
-    warm: Option<WarmSpec<'_>>,
+    seed: Seed<'_>,
 ) -> Result<RunReport, CoreError> {
-    validate_query(query, options, dg)?;
+    validate_query(query, options, dg.n, dg.weights.is_some())?;
+    let algo = query.algo();
+    if let Seed::Warm { .. } = seed {
+        validate_warm(algo, options.strategy)?;
+    }
     if dg.n == 0 {
         return Ok(empty_report());
-    }
-    let algo = query.algo();
-    let src = query.source();
-    let pagerank = query.pagerank_config();
-    if let Strategy::Hybrid { gpu_threshold } = options.strategy {
-        return run_hybrid(dev, kernels, dg, state, algo, src, options, gpu_threshold);
     }
     if matches!(options.strategy, Strategy::DirectionOptimized { .. }) && dg.rrow.is_none() {
         return Err(CoreError::Unsupported {
@@ -1039,28 +1121,37 @@ fn run_inner(
         });
     }
     let n = dg.n;
+    let src = query.source();
+    let pagerank = query.pagerank_config();
     let tuning = options.tuning;
-    let cap = if options.max_iterations == 0 {
-        4 * n as u64 + 64
-    } else {
-        options.max_iterations
+    let cap = iteration_cap(options, n);
+    let mut host = match options.strategy {
+        Strategy::Hybrid { gpu_threshold } => Some(HostSide::new(dev, dg, src, gpu_threshold)?),
+        _ => None,
     };
     let start_ns = dev.elapsed_ns();
     let start_launches = dev.launch_count();
     let start_stats = dev.cumulative_stats();
     let start_profile = dev.profile().clone();
     let races_before = race_counts(dev);
-    match &warm {
-        Some(spec) => {
+    match seed {
+        Seed::Warm { values, added } => {
+            if values.len() != n as usize {
+                return Err(CoreError::InvalidQuery {
+                    detail: format!(
+                        "warm value array has {} entries for a {n}-node graph",
+                        values.len()
+                    ),
+                });
+            }
             // Warm start: previous fixpoint in, working set seeded by
             // relaxing the delta edge list (all charged to setup).
-            state.reset_warm(dev, spec.values)?;
-            if !spec.added.is_empty() {
-                let count = spec.added.len();
-                let esrc: Vec<u32> = spec.added.iter().map(|e| e.0).collect();
-                let edst: Vec<u32> = spec.added.iter().map(|e| e.1).collect();
-                let ew: Vec<u32> = spec
-                    .added
+            state.reset_warm(dev, values)?;
+            if !added.is_empty() {
+                let count = added.len();
+                let esrc: Vec<u32> = added.iter().map(|e| e.0).collect();
+                let edst: Vec<u32> = added.iter().map(|e| e.1).collect();
+                let ew: Vec<u32> = added
                     .iter()
                     .map(|e| match algo {
                         Algo::Bfs => 1,
@@ -1078,7 +1169,7 @@ fn run_inner(
                 )?;
             }
         }
-        None => match algo {
+        Seed::Cold => match algo {
             Algo::Cc => state.reset_cc(dev, n)?,
             Algo::PageRank => state.reset_pagerank(dev, pagerank.damping)?,
             _ => state.reset(dev, src)?,
@@ -1111,16 +1202,19 @@ fn run_inner(
         degree_census_launches: 0,
     };
 
-    let mut est_ws: u32 = match &warm {
+    let mut est_ws: u32 = match seed {
         // A repair's first working set is at most one node per delta edge.
-        Some(spec) => (spec.added.len() as u32).clamp(1, n),
-        None if matches!(algo, Algo::Cc | Algo::PageRank) => n,
-        None => 1,
+        Seed::Warm { added, .. } => (added.len() as u32).clamp(1, n),
+        Seed::Cold if matches!(algo, Algo::Cc | Algo::PageRank) => n,
+        Seed::Cold => 1,
     };
     let mut est_avg_deg: f64 = dg.avg_outdegree;
     let mut prev_variant: Option<Variant> = None;
     let mut switches = 0u32;
     let mut iterations = 0u32;
+    // Modeled host-CPU time of hybrid runs' host iterations; the run's
+    // clock is the device clock plus this.
+    let mut host_ns = 0.0f64;
     let mut metrics = Metrics::default();
     let mut trace = Vec::new();
     // Start of the pass that ends the traversal: its prep + workset-gen +
@@ -1131,16 +1225,16 @@ fn run_inner(
         if iterations as u64 >= cap {
             return Err(CoreError::NoConvergence { iterations: cap });
         }
-        let iter_start = ctx.dev.elapsed_ns();
+        let iter_start = ctx.dev.elapsed_ns() + host_ns;
         teardown_start = iter_start;
         let inspector_before = ctx.inspector_ns;
         let (est_ws_used, est_deg_used) = (est_ws, est_avg_deg);
         let iter_region = region(&tuning, est_ws, n, est_avg_deg);
         let mut vwarp: Option<u32> = None;
         let mut bottom_up = false;
-        let variant = match options.strategy {
+        let mut variant = match options.strategy {
             Strategy::Static(v) => v,
-            Strategy::Adaptive => decide(&tuning, est_ws, n, est_avg_deg),
+            Strategy::Adaptive | Strategy::Hybrid { .. } => decide(&tuning, est_ws, n, est_avg_deg),
             Strategy::VirtualWarp { width, workset } => {
                 vwarp = Some(width);
                 Variant::new(AlgoOrder::Unordered, Mapping::Thread, workset)
@@ -1154,66 +1248,87 @@ fn run_inner(
                     decide(&tuning, est_ws, n, est_avg_deg)
                 }
             }
-            Strategy::Hybrid { .. } => unreachable!("dispatched above"),
         };
-        let switched = prev_variant.is_some_and(|p| p != variant);
-        // Entering bitmap mode from a queue iteration invalidates the size
-        // estimate's provenance (queues report exact sizes for free; the
-        // bitmap only reports when censused). Force an off-cadence census
-        // so the next decisions never run on a pre-switch estimate.
-        let force_census = switched
-            && variant.workset == WorkSet::Bitmap
-            && prev_variant.is_some_and(|p| p.workset != variant.workset);
+        let (switched, force_census) = match host.as_mut() {
+            // A hybrid run switches processors, not variants, and its
+            // device iterations never force a census.
+            Some(h) => (h.migrate(ctx.dev, state, est_ws)?, false),
+            None => {
+                let switched = prev_variant.is_some_and(|p| p != variant);
+                // Entering bitmap mode from a queue iteration invalidates
+                // the size estimate's provenance (queues report exact
+                // sizes for free; the bitmap only reports when censused).
+                // Force an off-cadence census so the next decisions never
+                // run on a pre-switch estimate.
+                let force = switched
+                    && variant.workset == WorkSet::Bitmap
+                    && prev_variant.is_some_and(|p| p.workset != variant.workset);
+                (switched, force)
+            }
+        };
+        let on_host = host.as_ref().is_some_and(|h| !h.on_device);
 
-        let Some((limit, ws_known)) =
-            ctx.gen_and_check(variant.workset, iterations + 1, force_census)?
-        else {
-            break;
+        let ws_known = if let Some(h) = host.as_mut().filter(|_| on_host) {
+            let Some((ws, ns)) = h.step(algo) else {
+                break;
+            };
+            iterations += 1;
+            host_ns += ns;
+            est_ws = ws;
+            // Host iterations record the variant the GPU would run next.
+            variant = decide(&tuning, est_ws, n, est_avg_deg);
+            metrics.host_iterations += 1;
+            Some(ws)
+        } else {
+            let Some((limit, ws_known)) =
+                ctx.gen_and_check(variant.workset, iterations + 1, force_census)?
+            else {
+                break;
+            };
+            iterations += 1;
+            if let Some(w) = ws_known {
+                est_ws = w;
+                // Working-set degree inspector (extension ablation):
+                // piggyback on the same sampling cadence as the node census.
+                if matches!(options.strategy, Strategy::Adaptive)
+                    && tuning.degree_mode == DegreeMode::WorkingSet
+                    && w > 0
+                    && iterations.is_multiple_of(tuning.sampling_period.max(1))
+                {
+                    let deg_sum = ctx.degree_census(variant.workset, limit)?;
+                    est_avg_deg = deg_sum as f64 / w as f64;
+                }
+            }
+            if algo == Algo::Sssp && variant.order == AlgoOrder::Ordered {
+                ctx.findmin(variant.workset, limit)?;
+            }
+            if bottom_up {
+                // `iterations` is 1-based and BFS is level-synchronous, so
+                // the frontier being consumed sits at level `iterations - 1`
+                // and newly claimed nodes get level `iterations`.
+                ctx.dev.launch(
+                    &ctx.kernels.bfs_bottom_up,
+                    Grid::linear(n as u64, ctx.thread_threads),
+                    &ctx.state.bfs_bottom_up_args(ctx.dg, n, iterations),
+                )?;
+                metrics.bottom_up_iterations += 1;
+            } else {
+                match vwarp {
+                    Some(width) => ctx.compute_vwarp(variant.workset, limit, width)?,
+                    None => ctx.compute(variant, limit)?,
+                }
+            }
+            ws_known
         };
-        iterations += 1;
-        // Counted only once the pass is known to execute: a variant chosen
-        // for the terminating (empty-workset) pass never runs a compute
-        // kernel, so it is not a switch — keeps `switches` equal to the
-        // number of `switched` records in the trace.
+        // Counted only once the pass is known to execute: a variant (or
+        // migration) chosen for the terminating pass runs no iteration,
+        // so it is not a switch — keeps `switches` equal to the number of
+        // `switched` records in the trace.
         if switched {
             switches += 1;
         }
-        if let Some(w) = ws_known {
-            est_ws = w;
-            // Working-set degree inspector (extension ablation): piggyback
-            // on the same sampling cadence as the node census.
-            if matches!(options.strategy, Strategy::Adaptive)
-                && tuning.degree_mode == DegreeMode::WorkingSet
-                && w > 0
-                && iterations.is_multiple_of(tuning.sampling_period.max(1))
-            {
-                let deg_sum = ctx.degree_census(variant.workset, limit)?;
-                est_avg_deg = deg_sum as f64 / w as f64;
-            }
-        }
 
-        if algo == Algo::Sssp && variant.order == AlgoOrder::Ordered {
-            ctx.findmin(variant.workset, limit)?;
-        }
-
-        if bottom_up {
-            // `iterations` is 1-based and BFS is level-synchronous, so the
-            // frontier being consumed sits at level `iterations - 1` and
-            // newly claimed nodes get level `iterations`.
-            ctx.dev.launch(
-                &ctx.kernels.bfs_bottom_up,
-                Grid::linear(n as u64, ctx.thread_threads),
-                &ctx.state.bfs_bottom_up_args(ctx.dg, n, iterations),
-            )?;
-            metrics.bottom_up_iterations += 1;
-        } else {
-            match vwarp {
-                Some(width) => ctx.compute_vwarp(variant.workset, limit, width)?,
-                None => ctx.compute(variant, limit)?,
-            }
-        }
-
-        let iter_ns = ctx.dev.elapsed_ns() - iter_start;
+        let iter_ns = (ctx.dev.elapsed_ns() + host_ns) - iter_start;
         metrics.record_iteration(variant, iter_ns);
         if options.record_trace {
             trace.push(IterationRecord {
@@ -1224,11 +1339,18 @@ fn run_inner(
                 est_ws: est_ws_used,
                 est_avg_deg: est_deg_used,
                 vwarp_width: vwarp,
-                on_host: false,
+                on_host,
                 switched,
                 inspector_ns: ctx.inspector_ns - inspector_before,
                 iter_ns,
             });
+        }
+        if host.is_some() {
+            // Hybrid runs restart the inspector total every iteration, so
+            // each trace record carries its census time exactly rather
+            // than as a difference of rounded running totals.
+            metrics.inspector_ns_total += ctx.inspector_ns;
+            ctx.inspector_ns = 0.0;
         }
         prev_variant = Some(variant);
     }
@@ -1236,236 +1358,14 @@ fn run_inner(
     metrics.switches = switches;
     metrics.census_launches = ctx.census_launches;
     metrics.degree_census_launches = ctx.degree_census_launches;
-    metrics.inspector_ns_total = ctx.inspector_ns;
+    metrics.inspector_ns_total += ctx.inspector_ns;
     record_race_deltas(&mut metrics, dev, races_before);
 
-    let values = dev.read(state.value); // final D2H, charged
-    let end_ns = dev.elapsed_ns();
-    let teardown_ns = end_ns - teardown_start;
-    let mut total_ns = end_ns - start_ns;
-    if options.include_graph_transfer {
-        total_ns += transfer_ns(dev.config(), dg.bytes);
-    }
-    let gpu_stats = subtract_kernel_stats(dev.cumulative_stats(), start_stats);
-    let profile = dev.profile().since(&start_profile);
-    Ok(RunReport {
-        values,
-        iterations,
-        switches,
-        launches: dev.launch_count() - start_launches,
-        total_ns,
-        setup_ns,
-        teardown_ns,
-        host_ns: 0.0,
-        gpu_stats,
-        metrics,
-        profile,
-        trace,
-    })
-}
-
-/// Hybrid CPU/GPU execution (extension): iterations whose working set is
-/// below `gpu_threshold` run on the host; at each processor switch the
-/// value array and update vector cross PCIe (charged). The GPU side uses
-/// the adaptive decision maker.
-#[allow(clippy::too_many_arguments)]
-fn run_hybrid(
-    dev: &mut Device,
-    kernels: &GpuKernels,
-    dg: &DeviceGraph,
-    state: &AlgoState,
-    algo: Algo,
-    src: NodeId,
-    options: &RunOptions,
-    gpu_threshold: u32,
-) -> Result<RunReport, CoreError> {
-    let n = dg.n as usize;
-    let tuning = options.tuning;
-    let cap = if options.max_iterations == 0 {
-        4 * n as u64 + 64
-    } else {
-        options.max_iterations
-    };
-    let cpu_model = CpuCostModel::default();
-    // The host owns the CSR (it uploaded it), so reading it back for the
-    // host-side iterations is free.
-    let row = dev.debug_read(dg.row)?;
-    let col = dev.debug_read(dg.col)?;
-    let weights = dg.weights.map(|w| dev.debug_read(w)).transpose()?;
-
-    let start_ns = dev.elapsed_ns();
-    let start_launches = dev.launch_count();
-    let start_stats = dev.cumulative_stats();
-    let start_profile = dev.profile().clone();
-    let races_before = race_counts(dev);
-    state.reset(dev, src)?;
-    let mut setup_ns = dev.elapsed_ns() - start_ns;
-    if options.include_graph_transfer {
-        setup_ns += transfer_ns(dev.config(), dg.bytes);
-    }
-
-    let mut host_values = vec![INF; n];
-    let mut host_update = vec![0u32; n];
-    host_values[src as usize] = 0;
-    host_update[src as usize] = 1;
-
-    let mut on_device = false;
-    let mut est_ws: u32 = 1;
-    let mut iterations = 0u32;
-    let mut switches = 0u32;
-    let mut host_ns = 0.0f64;
-    let mut metrics = Metrics::default();
-    let mut trace = Vec::new();
-    let mut teardown_start;
-
-    let block_threads =
-        tuning.block_mapping_threads(dg.avg_outdegree, dev.config().max_threads_per_block);
-    let thread_threads = tuning.thread_block_threads;
-
-    loop {
-        if iterations as u64 >= cap {
-            return Err(CoreError::NoConvergence { iterations: cap });
-        }
-        let iter_start = dev.elapsed_ns() + host_ns;
-        teardown_start = iter_start;
-        let est_ws_used = est_ws;
-        let iter_region = region(&tuning, est_ws, dg.n, dg.avg_outdegree);
-        let want_device = est_ws >= gpu_threshold.max(1);
-        let switched = want_device != on_device;
-        if switched {
-            if want_device {
-                // host -> device: upload values and update vector.
-                dev.write(state.value, &host_values)?;
-                dev.write(state.update, &host_update)?;
-            } else {
-                // device -> host: download values and update vector.
-                host_values = dev.read(state.value);
-                host_update = dev.read(state.update);
-            }
-            on_device = want_device;
-        }
-
-        let mut iter_inspector_ns = 0.0f64;
-        let (variant, ws_known, done) = if on_device {
-            let variant = decide(&tuning, est_ws, dg.n, dg.avg_outdegree);
-            let mut ctx = Ctx {
-                dev,
-                kernels,
-                dg,
-                state,
-                algo,
-                tuning,
-                census: options.census,
-                // hybrid execution exists for BFS/SSSP only (validated),
-                // so the PageRank parameters are never read
-                pagerank: PageRankConfig::default(),
-                thread_threads,
-                block_threads,
-                inspector_ns: 0.0,
-                census_launches: 0,
-                degree_census_launches: 0,
-            };
-            let out = match ctx.gen_and_check(variant.workset, iterations + 1, false)? {
-                None => (variant, None, true),
-                Some((limit, ws_known)) => {
-                    ctx.compute(variant, limit)?;
-                    if let Some(w) = ws_known {
-                        est_ws = w;
-                    }
-                    (variant, ws_known, false)
-                }
-            };
-            iter_inspector_ns = ctx.inspector_ns;
-            metrics.census_launches += ctx.census_launches;
-            metrics.degree_census_launches += ctx.degree_census_launches;
-            metrics.inspector_ns_total += ctx.inspector_ns;
-            out
-        } else {
-            // One frontier iteration on the host, instrumented like the
-            // agg-cpu baselines.
-            let frontier: Vec<u32> = (0..n as u32)
-                .filter(|&v| host_update[v as usize] != 0)
-                .collect();
-            if frontier.is_empty() {
-                (decide(&tuning, 0, dg.n, dg.avg_outdegree), Some(0), true)
-            } else {
-                let mut c = agg_cpu::CpuCounters::default();
-                for &v in &frontier {
-                    host_update[v as usize] = 0;
-                }
-                for &u in &frontier {
-                    c.nodes += 1;
-                    c.queue_ops += 1;
-                    let du = host_values[u as usize];
-                    let (lo, hi) = (row[u as usize] as usize, row[u as usize + 1] as usize);
-                    for (e, &dst) in col[lo..hi].iter().enumerate().map(|(i, d)| (lo + i, d)) {
-                        c.edges += 1;
-                        let m = dst as usize;
-                        let cand = match algo {
-                            Algo::Bfs => du.saturating_add(1),
-                            Algo::Sssp => {
-                                du.saturating_add(weights.as_ref().expect("validated weighted")[e])
-                            }
-                            Algo::Cc | Algo::PageRank => {
-                                unreachable!("rejected during validation")
-                            }
-                        };
-                        if cand < host_values[m] {
-                            host_values[m] = cand;
-                            host_update[m] = 1;
-                        }
-                    }
-                }
-                host_ns += cpu_model.modeled_ns(&c);
-                let ws = host_update.iter().filter(|&&u| u != 0).count() as u32;
-                est_ws = ws;
-                (
-                    decide(&tuning, est_ws, dg.n, dg.avg_outdegree),
-                    Some(ws),
-                    false,
-                )
-            }
-        };
-
-        if done {
-            break;
-        }
-        iterations += 1;
-        // As in `run`: a migration decided for the terminating pass moved
-        // data (and was charged) but ran no iteration, so it is not counted.
-        if switched {
-            switches += 1;
-        }
-        let iter_ns = (dev.elapsed_ns() + host_ns) - iter_start;
-        metrics.record_iteration(variant, iter_ns);
-        if !on_device {
-            metrics.host_iterations += 1;
-        }
-        if options.record_trace {
-            trace.push(IterationRecord {
-                iteration: iterations,
-                variant,
-                region: iter_region,
-                ws_size: ws_known,
-                est_ws: est_ws_used,
-                est_avg_deg: dg.avg_outdegree,
-                vwarp_width: None,
-                on_host: !on_device,
-                switched,
-                inspector_ns: iter_inspector_ns,
-                iter_ns,
-            });
-        }
-    }
-
-    metrics.switches = switches;
-    record_race_deltas(&mut metrics, dev, races_before);
-
-    // Final result lives wherever the last iteration ran.
-    let values = if on_device {
-        dev.read(state.value)
-    } else {
-        host_values
+    // The final values live wherever the last iteration ran; reading them
+    // off the device is the charged final D2H.
+    let values = match host {
+        Some(h) if !h.on_device => h.values,
+        _ => dev.read(state.value),
     };
     let end_ns = dev.elapsed_ns() + host_ns;
     let teardown_ns = end_ns - teardown_start;

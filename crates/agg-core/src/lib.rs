@@ -34,7 +34,7 @@ pub use api::GpuGraph;
 pub use config::{AdaptiveConfig, DegreeMode};
 pub use decision::{decide, Region};
 pub use engine::{
-    run, run_warm, Algo, CensusMode, CoreError, IterationRecord, PageRankConfig, Query,
+    run, Algo, CensusMode, CoreError, IterationRecord, PageRankConfig, Query,
     RunOptions, RunOptionsBuilder, RunReport, Strategy,
 };
 pub use metrics::Metrics;

@@ -9,11 +9,10 @@
 
 use agg_gpu_sim::json::Json;
 use agg_kernels::Variant;
-use serde::{Deserialize, Serialize};
 
 /// Counters accumulated by every run (no opt-in required). All time
 /// figures are modeled simulator time, ns.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
     /// Traversal iterations executed (same as `RunReport::iterations`).
     pub iterations: u32,

@@ -19,18 +19,21 @@
 //!
 //! Time accounting extends the single-run identity
 //! `setup + iterations + teardown == total` to batches:
-//! `Σ per-query device time == batch device total`, in both host
-//! execution modes. In [`ExecMode::Parallel`] the session fans contiguous
-//! chunks of the scheduled order across host threads, one simulated
-//! device per worker; each worker's device clock partitions into its
-//! queries' slices, and the batch total is the sum over workers. Results
-//! are bit-identical to sequential execution because the simulator is
-//! deterministic.
+//! `Σ per-query device time == batch device total`, whether the batch
+//! runs on the main device or across workers. A session built with
+//! [`Session::parallel`] fans contiguous chunks of the scheduled order
+//! across host threads, one simulated device per worker; each worker's
+//! device clock partitions into its queries' slices, and the batch total
+//! is the sum over workers. Values, iteration and launch counts are
+//! bit-identical to sequential execution because every simulated device
+//! runs its blocks in order on one thread, so each run is deterministic.
 
-use crate::engine::{run, validate_query, Algo, CoreError, Query, RunOptions, RunReport};
+use crate::engine::{
+    drive, run, validate_query, Algo, CoreError, Query, RunOptions, RunReport, Seed,
+};
 use crate::metrics::Metrics;
 use agg_gpu_sim::json::Json;
-use agg_gpu_sim::{Device, DeviceConfig, ExecMode, ProfileReport};
+use agg_gpu_sim::{Device, DeviceConfig, ProfileReport};
 use agg_graph::CsrGraph;
 use agg_kernels::{DeviceGraph, GpuKernels, PoolStats, StatePool};
 
@@ -75,7 +78,8 @@ pub struct Session {
     /// Kept for worker uploads (device pointers cannot be shared across
     /// devices) and for `enable_bottom_up`.
     graph: CsrGraph,
-    mode: ExecMode,
+    /// Host threads a batch fans out across; 1 runs batches on the main
+    /// device.
     worker_count: usize,
     workers: Vec<Worker>,
     batches: u64,
@@ -92,13 +96,14 @@ impl Session {
     /// Uploads `g` to a device with the given configuration (sequential
     /// batch execution).
     pub fn with_device(g: &CsrGraph, cfg: DeviceConfig) -> Result<Session, CoreError> {
-        Session::build(g, cfg, ExecMode::Sequential, 1)
+        Session::build(g, cfg, 1)
     }
 
     /// A session that fans independent batch queries across `workers`
-    /// host threads ([`ExecMode::Parallel`]). Results are identical to
+    /// host threads, one simulated device each. Results are identical to
     /// sequential execution; worker devices are created lazily on the
-    /// first parallel batch and reused afterwards.
+    /// first batch and reused afterwards. One worker runs batches on the
+    /// main device, like [`Session::with_device`].
     ///
     /// `workers` must be at least 1 — zero is rejected as
     /// [`CoreError::InvalidConfig`] rather than silently clamped,
@@ -113,16 +118,11 @@ impl Session {
                     .into(),
             });
         }
-        Session::build(g, cfg, ExecMode::Parallel, workers)
+        Session::build(g, cfg, workers)
     }
 
-    fn build(
-        g: &CsrGraph,
-        cfg: DeviceConfig,
-        mode: ExecMode,
-        worker_count: usize,
-    ) -> Result<Session, CoreError> {
-        let mut dev = Device::try_new(cfg.with_host_exec(mode))?;
+    fn build(g: &CsrGraph, cfg: DeviceConfig, worker_count: usize) -> Result<Session, CoreError> {
+        let mut dev = Device::try_new(cfg)?;
         let kernels = GpuKernels::build();
         let dg = DeviceGraph::upload(&mut dev, g);
         let mut pool = StatePool::new(dg.n);
@@ -133,7 +133,6 @@ impl Session {
             dg,
             pool,
             graph: g.clone(),
-            mode,
             worker_count,
             workers: Vec::new(),
             batches: 0,
@@ -152,7 +151,7 @@ impl Session {
 
     /// Runs one query on the session's main device using a pooled state.
     pub fn run(&mut self, query: Query, options: &RunOptions) -> Result<RunReport, CoreError> {
-        validate_query(query, options, &self.dg)?;
+        validate_query(query, options, self.dg.n, self.dg.weights.is_some())?;
         if matches!(query, Query::PageRank { .. }) {
             // PageRank's deterministic gather walks the transpose; upload
             // it once on first use (no-op afterwards).
@@ -192,12 +191,19 @@ impl Session {
         Ok(())
     }
 
-    /// Runs one query *warm* on the session's main device: starting from
-    /// `warm_values` (the pre-update fixpoint) and seeding the working
-    /// set from `added` (the update batch's net-inserted edges) instead
-    /// of resetting from the query's source. See [`crate::run_warm`] for
-    /// the soundness contract — the session's resident graph must already
-    /// be the updated one (via [`Session::reload_graph`]).
+    /// Runs one query *warm* on the session's main device: instead of
+    /// resetting state for the query's source, the device starts from
+    /// `warm_values` (the fixpoint of the pre-update graph, with any
+    /// affecting deletions already ruled out by the caller) and seeds the
+    /// working set by relaxing `added`, the update batch's net-inserted
+    /// `(src, dst, weight)` edges. Because BFS levels, SSSP distances, and
+    /// CC labels are unique fixpoints of a monotone relaxation, the result
+    /// is bit-identical to a cold run on the updated graph, which must
+    /// already be resident (via [`Session::reload_graph`]).
+    ///
+    /// Only unordered relaxation can re-improve finite values, so ordered
+    /// static variants, `Hybrid`, and `DirectionOptimized` are rejected
+    /// (`Adaptive` always selects unordered variants), as is PageRank.
     pub fn run_warm(
         &mut self,
         query: Query,
@@ -206,15 +212,17 @@ impl Session {
         added: &[(u32, u32, u32)],
     ) -> Result<RunReport, CoreError> {
         let state = self.pool.acquire(&mut self.dev)?;
-        let result = crate::engine::run_warm(
+        let result = drive(
             &mut self.dev,
             &self.kernels,
             &self.dg,
             &state,
             query,
             options,
-            warm_values,
-            added,
+            Seed::Warm {
+                values: warm_values,
+                added,
+            },
         );
         self.pool.release(state);
         self.queries_run += 1;
@@ -232,7 +240,8 @@ impl Session {
         options: &RunOptions,
     ) -> Result<BatchReport, CoreError> {
         for (i, q) in queries.iter().enumerate() {
-            validate_query(*q, options, &self.dg).map_err(|e| at_query(i, e))?;
+            validate_query(*q, options, self.dg.n, self.dg.weights.is_some())
+                .map_err(|e| at_query(i, e))?;
         }
         if queries.iter().any(|q| matches!(q, Query::PageRank { .. })) {
             // PageRank's gather needs the transpose on every device the
@@ -244,9 +253,10 @@ impl Session {
         let mut opts = *options;
         opts.include_graph_transfer = false;
         let order = schedule(queries);
-        let outcome = match self.mode {
-            ExecMode::Sequential => self.run_sequential(queries, &order, &opts)?,
-            ExecMode::Parallel => self.run_parallel(queries, &order, &opts)?,
+        let outcome = if self.worker_count > 1 {
+            self.run_parallel(queries, &order, &opts)?
+        } else {
+            self.run_sequential(queries, &order, &opts)?
         };
         let (slots, device_ns, profile, workers, makespan_ns) = outcome;
         let queries: Vec<QueryReport> = slots
@@ -422,9 +432,7 @@ impl Session {
 
     fn ensure_workers(&mut self, k: usize) -> Result<(), CoreError> {
         while self.workers.len() < k {
-            let mut dev = Device::try_new(
-                self.dev.config().clone().with_host_exec(ExecMode::Parallel),
-            )?;
+            let mut dev = Device::try_new(self.dev.config().clone())?;
             let mut dg = DeviceGraph::upload(&mut dev, &self.graph);
             if self.dg.rrow.is_some() {
                 dg.upload_reverse(&mut dev, &self.graph);
@@ -444,11 +452,6 @@ impl Session {
     /// Edge count of the resident graph.
     pub fn edge_count(&self) -> usize {
         self.dg.m as usize
-    }
-
-    /// The session's host execution mode.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.mode
     }
 
     /// Batches executed so far.

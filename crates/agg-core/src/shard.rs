@@ -84,13 +84,12 @@
 
 use crate::config::AdaptiveConfig;
 use crate::decision::decide;
-use crate::engine::{Algo, CoreError, Query, RunOptions, Strategy};
+use crate::engine::{iteration_cap, validate_query, Algo, CoreError, Query, RunOptions, Strategy};
 use agg_gpu_sim::json::Json;
 use agg_gpu_sim::prelude::*;
 use agg_graph::{partition, CsrGraph, GraphError, Partition, PartitionStrategy, INF};
 use agg_kernels::exchange::{META_COUNT, META_MIN, META_QB, META_QLEN, META_WORDS};
 use agg_kernels::{AlgoOrder, AlgoState, DeviceGraph, GpuKernels, Mapping, Variant, WorkSet};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 fn part_err(e: GraphError) -> CoreError {
@@ -141,7 +140,7 @@ struct ShardRt {
 }
 
 /// Per-shard telemetry slice of a [`ShardReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardSlice {
     /// Shard index.
     pub shard: usize,
@@ -190,7 +189,7 @@ impl ShardSlice {
 
 /// The result of a sharded run: merged values, superstep count, the
 /// exchange ledger, and per-shard slices.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardReport {
     /// Shard (device) count.
     pub shards: usize,
@@ -536,11 +535,7 @@ impl ShardedGraph {
         }
         let tuning = &options.tuning;
         let tt = tuning.thread_block_threads;
-        let cap = if options.max_iterations == 0 {
-            4 * n as u64 + 64
-        } else {
-            options.max_iterations
-        };
+        let cap = iteration_cap(options, n);
 
         let run_start: Vec<f64> = shards.iter().map(|rt| rt.dev.elapsed_ns()).collect();
         let launch_start: Vec<u64> = shards.iter().map(|rt| rt.dev.launch_count()).collect();
@@ -945,66 +940,20 @@ impl ShardedGraph {
     }
 
     fn validate(&self, query: Query, options: &RunOptions) -> Result<(), CoreError> {
-        match options.strategy {
-            Strategy::Adaptive | Strategy::Static(_) => {}
-            Strategy::VirtualWarp { .. } => {
-                return Err(CoreError::Unsupported {
-                    detail: "sharded execution supports Adaptive and Static strategies \
-                             (virtual-warp kernels are single-device)"
-                        .into(),
-                })
-            }
-            Strategy::DirectionOptimized { .. } => {
-                return Err(CoreError::Unsupported {
-                    detail: "sharded execution supports Adaptive and Static strategies \
-                             (direction-optimized BFS is single-device)"
-                        .into(),
-                })
-            }
-            Strategy::Hybrid { .. } => {
-                return Err(CoreError::Unsupported {
-                    detail: "sharded execution supports Adaptive and Static strategies \
-                             (hybrid CPU/GPU alternation is single-device)"
-                        .into(),
-                })
-            }
-        }
-        let algo = query.algo();
-        if algo == Algo::Sssp && !self.weighted {
-            return Err(CoreError::InvalidQuery {
-                detail: "SSSP requires a weighted graph (use generate_weighted / with_weights)"
-                    .into(),
+        let single_device = match options.strategy {
+            Strategy::Adaptive | Strategy::Static(_) => None,
+            Strategy::VirtualWarp { .. } => Some("virtual-warp kernels are single-device"),
+            Strategy::DirectionOptimized { .. } => Some("direction-optimized BFS is single-device"),
+            Strategy::Hybrid { .. } => Some("hybrid CPU/GPU alternation is single-device"),
+        };
+        if let Some(why) = single_device {
+            return Err(CoreError::Unsupported {
+                detail: format!(
+                    "sharded execution supports Adaptive and Static strategies ({why})"
+                ),
             });
         }
-        let n = self.part.n as u32;
-        if matches!(query, Query::Bfs { .. } | Query::Sssp { .. }) && n > 0 {
-            let src = query.source();
-            if src >= n {
-                return Err(CoreError::InvalidQuery {
-                    detail: format!("source {src} out of range (graph has {n} nodes)"),
-                });
-            }
-        }
-        if let Query::PageRank { config } = query {
-            if !(config.damping > 0.0 && config.damping < 1.0) {
-                return Err(CoreError::InvalidQuery {
-                    detail: format!("PageRank damping {} must be in (0, 1)", config.damping),
-                });
-            }
-            if config.epsilon.is_nan() || config.epsilon <= 0.0 {
-                return Err(CoreError::InvalidQuery {
-                    detail: format!("PageRank epsilon {} must be positive", config.epsilon),
-                });
-            }
-        }
-        if let Strategy::Static(v) = options.strategy {
-            if matches!(algo, Algo::Cc | Algo::PageRank) && v.order == AlgoOrder::Ordered {
-                return Err(CoreError::Unsupported {
-                    detail: format!("{algo:?} has no ordered formulation"),
-                });
-            }
-        }
-        Ok(())
+        validate_query(query, options, self.part.n as u32, self.weighted)
     }
 
     fn empty_report(&self) -> ShardReport {

@@ -14,10 +14,8 @@
 //! datasets — the throughput class the paper's Tables 2/3 imply (its best
 //! GPU BFS reaches hundreds of M nodes/s at speedups of ~10x).
 
-use serde::{Deserialize, Serialize};
-
 /// Work counters accumulated by an instrumented baseline run.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct CpuCounters {
     /// Nodes processed (dequeued / settled).
     pub nodes: u64,
@@ -34,7 +32,7 @@ pub struct CpuCounters {
 }
 
 /// Converts counters to modeled time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuCostModel {
     /// Fixed per-node bookkeeping cost (ns).
     pub per_node_ns: f64,
@@ -78,7 +76,7 @@ impl CpuCostModel {
 }
 
 /// The result of an instrumented baseline run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuRun {
     /// Per-node output (levels or distances).
     pub result: Vec<u32>,

@@ -8,11 +8,10 @@
 
 use crate::cost::{CpuCostModel, CpuCounters};
 use agg_graph::CsrGraph;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Result of a serial PageRank run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PageRankRun {
     /// Final rank per node.
     pub ranks: Vec<f32>,

@@ -3,8 +3,6 @@
 //! numbers in this struct, so experiments can sweep them (e.g. the
 //! launch-overhead ablation, experiment X2 in DESIGN.md).
 
-use serde::{Deserialize, Serialize};
-
 /// What the execution engine computes per launch, beyond the kernel's
 /// memory effects (which every fidelity produces bit-identically).
 ///
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// Under `Functional`, every launch report carries `time_ns == 0.0`,
 /// default statistics, and `races: None`; the device clock does not
 /// advance on launches (transfers still charge PCIe time).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimFidelity {
     /// Full timing model: divergence, coalescing, atomic serialization,
     /// bank conflicts, occupancy-based latency hiding (the default).
@@ -34,7 +32,7 @@ pub enum SimFidelity {
 }
 
 /// Which execution engine runs kernel launches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecEngine {
     /// The flat bytecode engine (compiled once per kernel, memoized) —
     /// the default and the only engine available in production builds.
@@ -46,26 +44,12 @@ pub enum ExecEngine {
     Interpreter,
 }
 
-/// How blocks of a launch are scheduled on the *host* (simulation
-/// threading; modeled GPU time is identical either way).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ExecMode {
-    /// Blocks run one after another on the calling thread (the default;
-    /// deterministic and fastest for small launches).
-    #[default]
-    Sequential,
-    /// Blocks are distributed over scoped OS threads. Results are
-    /// identical for data-race-free kernels (cross-block communication
-    /// goes through atomics).
-    Parallel,
-}
-
 /// Architectural + timing description of a simulated CUDA device.
 ///
 /// The default constructor [`DeviceConfig::tesla_c2070`] models the Fermi
 /// card the paper used ("an Nvidia Tesla C2070 GPU, which contains 14
 /// 32-core SMs", 1.15 GHz, 144 GB/s).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceConfig {
     /// Human-readable device name.
     pub name: String,
@@ -114,8 +98,6 @@ pub struct DeviceConfig {
     pub fidelity: SimFidelity,
     /// Which execution engine runs launches (see [`ExecEngine`]).
     pub engine: ExecEngine,
-    /// Host-side block scheduling (see [`ExecMode`]).
-    pub host_exec: ExecMode,
 }
 
 impl DeviceConfig {
@@ -145,7 +127,6 @@ impl DeviceConfig {
             pcie_latency_us: 10.0,
             fidelity: SimFidelity::default(),
             engine: ExecEngine::default(),
-            host_exec: ExecMode::default(),
         }
     }
 
@@ -159,25 +140,6 @@ impl DeviceConfig {
     pub fn with_engine(mut self, engine: ExecEngine) -> DeviceConfig {
         self.engine = engine;
         self
-    }
-
-    /// This configuration with the given host-side block scheduling.
-    pub fn with_host_exec(mut self, mode: ExecMode) -> DeviceConfig {
-        self.host_exec = mode;
-        self
-    }
-
-    /// This configuration with the data-race detector switched on or off.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use with_fidelity(SimFidelity::TimedWithRaces) / with_fidelity(SimFidelity::Timed)"
-    )]
-    pub fn with_race_detect(self, on: bool) -> DeviceConfig {
-        self.with_fidelity(if on {
-            SimFidelity::TimedWithRaces
-        } else {
-            SimFidelity::Timed
-        })
     }
 
     /// A deliberately tiny device (2 SMs) for tests that need to observe
@@ -204,7 +166,8 @@ impl DeviceConfig {
         threads.div_ceil(self.warp_size)
     }
 
-    /// Validates internal consistency (used by `Device::new` debug builds).
+    /// Validates internal consistency (`Device::try_new` rejects a config
+    /// that fails it).
     pub fn validate(&self) -> Result<(), String> {
         if self.warp_size == 0 || !self.warp_size.is_power_of_two() || self.warp_size > 32 {
             return Err(format!(
@@ -272,24 +235,11 @@ mod tests {
         let c = DeviceConfig::tesla_c2070();
         assert_eq!(c.fidelity, SimFidelity::Timed);
         assert_eq!(c.engine, ExecEngine::Bytecode);
-        assert_eq!(c.host_exec, ExecMode::Sequential);
         let c = c
             .with_fidelity(SimFidelity::Functional)
-            .with_engine(ExecEngine::Interpreter)
-            .with_host_exec(ExecMode::Parallel);
+            .with_engine(ExecEngine::Interpreter);
         assert_eq!(c.fidelity, SimFidelity::Functional);
         assert_eq!(c.engine, ExecEngine::Interpreter);
-        assert_eq!(c.host_exec, ExecMode::Parallel);
-    }
-
-    #[test]
-    fn deprecated_race_toggle_maps_to_fidelity() {
-        #[allow(deprecated)]
-        let on = DeviceConfig::tesla_c2070().with_race_detect(true);
-        assert_eq!(on.fidelity, SimFidelity::TimedWithRaces);
-        #[allow(deprecated)]
-        let off = on.with_race_detect(false);
-        assert_eq!(off.fidelity, SimFidelity::Timed);
     }
 
     #[test]

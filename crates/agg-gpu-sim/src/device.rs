@@ -16,8 +16,6 @@ use crate::mem::race::RaceSummary;
 use crate::mem::transfer::transfer_ns;
 use crate::timing::report::{KernelStats, LaunchReport, ProfileReport};
 
-pub use crate::config::ExecMode;
-
 /// A simulated GPU: memory + execution engine + clock.
 pub struct Device {
     cfg: DeviceConfig,
@@ -32,9 +30,9 @@ pub struct Device {
 
 impl Device {
     /// Creates a device, validating the configuration. Execution
-    /// behaviour — fidelity, engine, host threading — is fixed by the
-    /// [`DeviceConfig`] at construction (see [`DeviceConfig::with_fidelity`]
-    /// and friends).
+    /// behaviour — fidelity and engine — is fixed by the [`DeviceConfig`]
+    /// at construction (see [`DeviceConfig::with_fidelity`] and
+    /// [`DeviceConfig::with_engine`]).
     pub fn try_new(cfg: DeviceConfig) -> Result<Device, SimError> {
         cfg.validate()
             .map_err(|detail| SimError::InvalidConfig { detail })?;
@@ -48,28 +46,6 @@ impl Device {
             profile: ProfileReport::default(),
             races: RaceSummary::default(),
         })
-    }
-
-    /// Creates a device. Panics on an internally inconsistent config.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use Device::try_new, which returns Err(SimError::InvalidConfig) instead of panicking"
-    )]
-    pub fn new(cfg: DeviceConfig) -> Device {
-        match Device::try_new(cfg) {
-            Ok(dev) => dev,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Sets the host-side execution mode.
-    #[deprecated(
-        since = "0.3.0",
-        note = "set it on the config instead: DeviceConfig::with_host_exec(ExecMode::..)"
-    )]
-    pub fn with_mode(mut self, mode: ExecMode) -> Device {
-        self.cfg.host_exec = mode;
-        self
     }
 
     /// The device configuration.
@@ -162,14 +138,7 @@ impl Device {
         grid: Grid,
         args: &LaunchArgs,
     ) -> Result<LaunchReport, SimError> {
-        let report = run_grid(
-            &self.cfg,
-            kernel,
-            grid,
-            args,
-            &self.mem,
-            matches!(self.cfg.host_exec, ExecMode::Parallel),
-        )?;
+        let report = run_grid(&self.cfg, kernel, grid, args, &self.mem)?;
         self.kernel_ns += report.time_ns;
         self.launches += 1;
         self.cumulative += report.stats;
@@ -178,20 +147,6 @@ impl Device {
             self.races.absorb_report(r);
         }
         Ok(report)
-    }
-
-    /// Toggles per-launch race detection. Takes effect from the next
-    /// launch.
-    #[deprecated(
-        since = "0.3.0",
-        note = "set it on the config instead: DeviceConfig::with_fidelity(SimFidelity::TimedWithRaces)"
-    )]
-    pub fn set_race_detect(&mut self, on: bool) {
-        self.cfg.fidelity = if on {
-            SimFidelity::TimedWithRaces
-        } else {
-            SimFidelity::Timed
-        };
     }
 
     /// Race counters accumulated over every race-checked launch since
@@ -396,24 +351,20 @@ mod tests {
         let b = k.buf_param();
         k.store(b, 0u32, 1u32);
         let kernel = k.build().unwrap();
-        for host_exec in [ExecMode::Sequential, ExecMode::Parallel] {
-            let cfg = DeviceConfig::tesla_c2070()
-                .with_fidelity(SimFidelity::TimedWithRaces)
-                .with_host_exec(host_exec);
-            let mut dev = Device::try_new(cfg).unwrap();
-            let p = dev.alloc("flag", 1);
-            let r = dev
-                .launch(&kernel, Grid::new(4, 32), &LaunchArgs::new().bufs([p]))
-                .unwrap();
-            let races = r.races.expect("detection enabled");
-            assert!(races.is_clean());
-            assert_eq!(
-                races.benign[0].class,
-                crate::mem::race::RaceClass::SameValueStore
-            );
-            assert!(dev.race_summary().is_clean());
-            assert_eq!(dev.race_summary().benign_words, 1);
-        }
+        let cfg = DeviceConfig::tesla_c2070().with_fidelity(SimFidelity::TimedWithRaces);
+        let mut dev = Device::try_new(cfg).unwrap();
+        let p = dev.alloc("flag", 1);
+        let r = dev
+            .launch(&kernel, Grid::new(4, 32), &LaunchArgs::new().bufs([p]))
+            .unwrap();
+        let races = r.races.expect("detection enabled");
+        assert!(races.is_clean());
+        assert_eq!(
+            races.benign[0].class,
+            crate::mem::race::RaceClass::SameValueStore
+        );
+        assert!(dev.race_summary().is_clean());
+        assert_eq!(dev.race_summary().benign_words, 1);
     }
 
     #[test]
@@ -479,37 +430,5 @@ mod tests {
             }
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid DeviceConfig")]
-    fn bad_config_panics() {
-        let mut cfg = DeviceConfig::tesla_c2070();
-        cfg.num_sms = 0;
-        #[allow(deprecated)]
-        let _ = Device::new(cfg);
-    }
-
-    /// The sanctioned exercise of the deprecated 0.2 surface: constructor,
-    /// mode setter, race toggle. Everything else in the workspace must use
-    /// the `DeviceConfig` builders (`deprecated = "deny"` enforces it).
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_device_surface_still_works() {
-        let mut k = KernelBuilder::new("flag");
-        let b = k.buf_param();
-        k.store(b, 0u32, 1u32);
-        let kernel = k.build().unwrap();
-        let mut dev = Device::new(DeviceConfig::tesla_c2070()).with_mode(ExecMode::Parallel);
-        assert_eq!(dev.config().host_exec, ExecMode::Parallel);
-        dev.set_race_detect(true);
-        assert_eq!(dev.config().fidelity, SimFidelity::TimedWithRaces);
-        let p = dev.alloc("flag", 1);
-        let r = dev
-            .launch(&kernel, Grid::new(2, 32), &LaunchArgs::new().bufs([p]))
-            .unwrap();
-        assert!(r.races.is_some());
-        dev.set_race_detect(false);
-        assert_eq!(dev.config().fidelity, SimFidelity::Timed);
     }
 }

@@ -1,6 +1,5 @@
 //! Grid-level launch machinery: launch configuration, argument binding,
-//! validation against device limits, and (optionally parallel) block
-//! execution.
+//! validation against device limits, and block execution.
 
 use crate::config::{DeviceConfig, ExecEngine, SimFidelity};
 use crate::error::SimError;
@@ -11,10 +10,9 @@ use crate::mem::race::{analyze, AccessRecord};
 use crate::timing::cost::BlockCost;
 use crate::timing::occupancy::Occupancy;
 use crate::timing::report::{finalize_launch, KernelStats, LaunchReport};
-use serde::{Deserialize, Serialize};
 
 /// Everything a block needs to execute: the launch's resolved arguments
-/// plus geometry. Shared read-only across worker threads.
+/// plus geometry. Shared read-only by every block of the launch.
 pub struct GridCtx<'a> {
     pub(crate) cfg: &'a DeviceConfig,
     pub(crate) kernel: &'a Kernel,
@@ -25,7 +23,7 @@ pub struct GridCtx<'a> {
 }
 
 /// Launch geometry (linearized: the simulator flattens CUDA's 3-D grids).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Grid {
     /// Number of thread blocks.
     pub blocks: u32,
@@ -139,69 +137,26 @@ pub(crate) fn validate_launch(
     Ok(())
 }
 
-/// Runs every block of the launch through `exec` and collects per-block
-/// costs. `parallel` distributes contiguous block ranges over scoped OS
-/// threads (results are identical for the data-race-free kernels this
-/// workspace writes: cross-block communication goes through atomics).
-/// Each worker owns one `S` scratch and, when `detect` is set, one
-/// private access log merged into `race_log` in worker order.
+/// Runs every block of the launch through `exec`, in block order on the
+/// calling thread, and collects per-block costs. One `S` scratch serves
+/// every block; under race detection (`race_log` is `Some`) every access
+/// is logged into it.
 fn run_blocks<S, F>(
     g: &GridCtx<'_>,
     grid: Grid,
-    parallel: bool,
-    detect: bool,
     race_log: &mut Option<Vec<AccessRecord>>,
     exec: F,
 ) -> Result<Vec<BlockCost>, SimError>
 where
     S: Default,
-    F: Fn(&GridCtx<'_>, u32, &mut S, Option<&mut Vec<AccessRecord>>) -> Result<BlockCost, SimError>
-        + Sync,
+    F: Fn(&GridCtx<'_>, u32, &mut S, Option<&mut Vec<AccessRecord>>) -> Result<BlockCost, SimError>,
 {
-    if parallel && grid.blocks > 1 {
-        let workers = std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .min(grid.blocks as usize);
-        let chunk = (grid.blocks as usize).div_ceil(workers);
-        let exec = &exec;
-        let per_worker = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    s.spawn(move || {
-                        let lo = (w * chunk) as u32;
-                        let hi = ((w + 1) * chunk).min(grid.blocks as usize) as u32;
-                        let mut scratch = S::default();
-                        let mut out = Vec::with_capacity((hi - lo) as usize);
-                        let mut log: Option<Vec<AccessRecord>> = detect.then(Vec::new);
-                        for b in lo..hi {
-                            out.push(exec(g, b, &mut scratch, log.as_mut())?);
-                        }
-                        Ok::<_, SimError>((out, log))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("simulator worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        let mut costs = Vec::with_capacity(grid.blocks as usize);
-        for worker_result in per_worker {
-            let (worker_costs, worker_log) = worker_result?;
-            costs.extend(worker_costs);
-            if let (Some(log), Some(worker_log)) = (race_log.as_mut(), worker_log) {
-                log.extend(worker_log);
-            }
-        }
-        Ok(costs)
-    } else {
-        let mut scratch = S::default();
-        let mut out = Vec::with_capacity(grid.blocks as usize);
-        for b in 0..grid.blocks {
-            out.push(exec(g, b, &mut scratch, race_log.as_mut())?);
-        }
-        Ok(out)
+    let mut scratch = S::default();
+    let mut costs = Vec::with_capacity(grid.blocks as usize);
+    for b in 0..grid.blocks {
+        costs.push(exec(g, b, &mut scratch, race_log.as_mut())?);
     }
+    Ok(costs)
 }
 
 /// Runs a launch end to end: validation, argument binding, block
@@ -213,7 +168,6 @@ pub(crate) fn run_grid(
     grid: Grid,
     args: &LaunchArgs,
     mem: &GlobalMemory,
-    parallel: bool,
 ) -> Result<LaunchReport, SimError> {
     validate_launch(cfg, kernel, grid, args)?;
     let bufs = args
@@ -235,14 +189,14 @@ pub(crate) fn run_grid(
     let costs: Vec<BlockCost> = match cfg.engine {
         ExecEngine::Bytecode => {
             let bc = kernel.bytecode();
-            run_blocks::<BcScratch, _>(&g, grid, parallel, detect, &mut race_log, |g, b, s, l| {
+            run_blocks::<BcScratch, _>(&g, grid, &mut race_log, |g, b, s, l| {
                 bytecode::run_block(g, bc, b, s, l, timed)
             })?
         }
         #[cfg(any(test, feature = "interp-oracle"))]
         ExecEngine::Interpreter => {
             use crate::exec::interp;
-            run_blocks::<interp::Scratch, _>(&g, grid, parallel, detect, &mut race_log, |g, b, s, l| {
+            run_blocks::<interp::Scratch, _>(&g, grid, &mut race_log, |g, b, s, l| {
                 interp::run_block(g, b, s, l)
             })?
         }
@@ -314,25 +268,15 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_parallel_agree() {
+    fn linear_grid_runs_every_thread_once() {
         let cfg = DeviceConfig::tesla_c2070();
         let kernel = incr_kernel();
-        for parallel in [false, true] {
-            let mut mem = GlobalMemory::new();
-            let p = mem.alloc("x", 1000);
-            let args = LaunchArgs::new().bufs([p]).scalars([1000]);
-            let r = run_grid(
-                &cfg,
-                &kernel,
-                Grid::linear(1000, 192),
-                &args,
-                &mem,
-                parallel,
-            )
-            .unwrap();
-            assert_eq!(mem.read(p).unwrap(), vec![1; 1000]);
-            assert!(r.time_ns > 0.0);
-        }
+        let mut mem = GlobalMemory::new();
+        let p = mem.alloc("x", 1000);
+        let args = LaunchArgs::new().bufs([p]).scalars([1000]);
+        let r = run_grid(&cfg, &kernel, Grid::linear(1000, 192), &args, &mem).unwrap();
+        assert_eq!(mem.read(p).unwrap(), vec![1; 1000]);
+        assert!(r.time_ns > 0.0);
     }
 
     #[test]
@@ -348,7 +292,6 @@ mod tests {
             Grid::new(1, 2048),
             &LaunchArgs::new().bufs([p]).scalars([10]),
             &mem,
-            false,
         );
         assert!(matches!(bad_tpb, Err(SimError::BadLaunch { .. })));
 
@@ -358,7 +301,6 @@ mod tests {
             Grid::new(1, 0),
             &LaunchArgs::new().bufs([p]).scalars([10]),
             &mem,
-            false,
         );
         assert!(matches!(zero_tpb, Err(SimError::BadLaunch { .. })));
 
@@ -368,7 +310,6 @@ mod tests {
             Grid::new(1, 32),
             &LaunchArgs::new().scalars([10]),
             &mem,
-            false,
         );
         assert!(matches!(
             missing_buf,
@@ -381,7 +322,6 @@ mod tests {
             Grid::new(1, 32),
             &LaunchArgs::new().bufs([p]),
             &mem,
-            false,
         );
         assert!(matches!(
             missing_scalar,
@@ -402,7 +342,6 @@ mod tests {
             Grid::new(1, 32),
             &LaunchArgs::new(),
             &mem,
-            false,
         );
         assert!(matches!(r, Err(SimError::BadLaunch { .. })));
     }
@@ -419,7 +358,6 @@ mod tests {
             Grid::new(0, 32),
             &LaunchArgs::new().bufs([p]).scalars([4]),
             &mem,
-            false,
         )
         .unwrap();
         assert_eq!(mem.read(p).unwrap(), vec![0; 4]);

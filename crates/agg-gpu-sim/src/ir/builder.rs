@@ -8,11 +8,10 @@ use super::expr::{BufSlot, Expr, Reg, Special};
 use super::stmt::{AtomicOp, BarrierOp, Stmt};
 use crate::error::SimError;
 use crate::exec::bytecode::{compile, Bytecode};
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
 /// A validated, immutable kernel.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Kernel {
     /// Kernel name (appears in error messages and launch reports).
     pub name: String,

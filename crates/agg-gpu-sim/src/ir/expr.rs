@@ -5,19 +5,17 @@
 //! saturating variants used by distance math are explicit operators so the
 //! cost model can see them.
 
-use serde::{Deserialize, Serialize};
-
 /// A virtual register index, local to one kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Reg(pub u16);
 
 /// A buffer parameter slot: the position of a device buffer in the launch
 /// argument list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BufSlot(pub u8);
 
 /// Built-in per-lane identifiers (CUDA's `threadIdx` family, linearized).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Special {
     /// Thread index within the block.
     ThreadIdx,
@@ -34,7 +32,7 @@ pub enum Special {
 }
 
 /// Binary operators. Comparisons are unsigned and yield 0/1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Binop {
     /// Wrapping addition.
     Add,
@@ -89,7 +87,7 @@ pub enum Binop {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Unop {
     /// Bitwise complement.
     Not,
@@ -103,7 +101,7 @@ pub enum Unop {
 }
 
 /// A pure per-lane expression tree.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Expr {
     /// 32-bit immediate.
     Imm(u32),

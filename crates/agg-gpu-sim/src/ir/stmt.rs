@@ -2,10 +2,9 @@
 //! intrinsics.
 
 use super::expr::{BufSlot, Expr, Reg};
-use serde::{Deserialize, Serialize};
 
 /// Read-modify-write atomic operations on global memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AtomicOp {
     /// `old = *p; *p = old + v` (wrapping).
     Add,
@@ -26,7 +25,7 @@ pub enum AtomicOp {
 /// `__syncthreads()`-based shared-memory protocols real kernels write by
 /// hand (tree reductions, prefix scans); the interpreter executes them as
 /// barriers with an analytic log-depth cost (see `DESIGN.md` §2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BarrierOp {
     /// Every lane in the block receives the minimum of `value` over all
     /// lanes in the block (inactive/returned lanes contribute `u32::MAX`).
@@ -40,7 +39,7 @@ pub enum BarrierOp {
 }
 
 /// A kernel statement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
     /// `dst = expr`.
     Assign(Reg, Expr),

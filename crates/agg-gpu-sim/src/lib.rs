@@ -67,7 +67,7 @@ pub mod json;
 pub mod mem;
 pub mod timing;
 
-pub use config::{DeviceConfig, ExecEngine, ExecMode, SimFidelity};
+pub use config::{DeviceConfig, ExecEngine, SimFidelity};
 pub use device::Device;
 pub use error::SimError;
 pub use exec::grid::{Grid, LaunchArgs};
@@ -79,7 +79,7 @@ pub use timing::report::{KernelStats, LaunchProfile, LaunchReport, ProfileReport
 
 /// Convenient imports for writing and launching kernels.
 pub mod prelude {
-    pub use crate::config::{DeviceConfig, ExecEngine, ExecMode, SimFidelity};
+    pub use crate::config::{DeviceConfig, ExecEngine, SimFidelity};
     pub use crate::device::Device;
     pub use crate::error::SimError;
     pub use crate::exec::grid::{Grid, LaunchArgs};

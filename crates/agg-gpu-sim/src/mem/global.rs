@@ -1,8 +1,8 @@
 //! Global (device) memory.
 //!
 //! Buffers are flat arrays of `AtomicU32`. Plain loads/stores use relaxed
-//! atomic accesses so that parallel block execution (scoped threads) is data-race
-//! free by construction — matching the memory model a real GPU gives
+//! atomic accesses, so a launch reads and writes every buffer through a
+//! shared `&GlobalMemory` — matching the memory model a real GPU gives
 //! concurrent blocks (no ordering guarantees, word-level atomicity).
 
 use crate::error::SimError;

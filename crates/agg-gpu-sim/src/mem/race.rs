@@ -49,7 +49,6 @@
 //! value commute.
 
 use crate::json::Json;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Buffer slot used to mark shared-memory accesses in the log.
@@ -108,7 +107,7 @@ impl AccessRecord {
 }
 
 /// Why a detected race is (or is not) benign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RaceClass {
     /// Concurrent plain stores that all write the same value (the
     /// `workset_gen_bitmap` flag raise, ordered-BFS level stores).
@@ -152,7 +151,7 @@ impl RaceClass {
 
 /// One detected race pattern: a (kernel, buffer, class) group covering
 /// every word of that buffer where the pattern occurred.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RaceFinding {
     /// Kernel the race occurred in.
     pub kernel: String,
@@ -181,7 +180,7 @@ impl RaceFinding {
 }
 
 /// The race analysis of one kernel launch.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RaceReport {
     /// Kernel name.
     pub kernel: String,
@@ -225,7 +224,7 @@ impl RaceReport {
 /// Race counters a [`crate::Device`] accumulates across launches (reset
 /// together with the clock). Harmful findings keep a capped list of
 /// exemplars for diagnostics.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RaceSummary {
     /// Launches analyzed (only those run with detection enabled).
     pub launches_checked: u64,

@@ -1,11 +1,10 @@
 //! Cost counters accumulated during warp execution.
 
-use serde::{Deserialize, Serialize};
 use std::ops::AddAssign;
 
 /// Raw event counters for a unit of execution (warp, block, or kernel —
 /// they add associatively).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CostStats {
     /// Warp-instructions issued (each costs one pipeline slot regardless of
     /// how many lanes are active — the SIMT underutilization penalty).
@@ -68,7 +67,7 @@ impl CostStats {
 }
 
 /// Per-block aggregate the scheduler consumes.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct BlockCost {
     /// Issue-pipeline cycles: one per warp-instruction, plus transaction,
     /// atomic, conflict, and sync surcharges.

@@ -4,10 +4,9 @@
 //! configurations (Section VII.A).
 
 use crate::config::DeviceConfig;
-use serde::{Deserialize, Serialize};
 
 /// Residency figures for one kernel configuration on one SM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Occupancy {
     /// Concurrently resident blocks per SM.
     pub blocks_per_sm: u32,

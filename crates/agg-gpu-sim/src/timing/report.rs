@@ -7,10 +7,9 @@ use crate::json::Json;
 use crate::mem::race::RaceReport;
 use crate::timing::cost::{BlockCost, CostStats};
 use crate::timing::occupancy::Occupancy;
-use serde::{Deserialize, Serialize};
 
 /// Aggregated kernel statistics (all blocks).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct KernelStats {
     /// Summed event counters.
     pub totals: CostStats,
@@ -29,7 +28,7 @@ impl std::ops::AddAssign for KernelStats {
 }
 
 /// The result of one kernel launch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaunchReport {
     /// Kernel name.
     pub kernel: String,
@@ -110,7 +109,7 @@ pub fn finalize_launch(
 /// (compute vs. bandwidth vs. launch overhead), how well its accesses
 /// coalesced, and what residency it achieved. Built by
 /// [`ProfileReport::record`] from each [`LaunchReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaunchProfile {
     /// Kernel name.
     pub kernel: String,
@@ -231,7 +230,7 @@ impl LaunchProfile {
 /// [`crate::Device::reset_clock`]); callers snapshot it and use
 /// [`ProfileReport::since`] to attribute launches to a single run.
 /// Kernels are kept in first-launch order.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProfileReport {
     kernels: Vec<LaunchProfile>,
 }

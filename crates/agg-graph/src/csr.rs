@@ -9,7 +9,6 @@
 //! simulated device memory.
 
 use crate::error::GraphError;
-use serde::{Deserialize, Serialize};
 
 /// Node identifier. The device works in 32-bit ids, so the host does too.
 pub type NodeId = u32;
@@ -24,7 +23,7 @@ pub const INF: u32 = u32::MAX;
 /// * `row_offsets\[0\] == 0`, `row_offsets[n] == edge_count`, non-decreasing
 /// * every entry of `col_indices` is `< node_count`
 /// * `weights`, if present, has exactly `edge_count` entries
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrGraph {
     row_offsets: Vec<u32>,
     col_indices: Vec<u32>,

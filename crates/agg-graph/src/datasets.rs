@@ -27,10 +27,9 @@ use crate::generators::{
     RmatConfig, RoadGridConfig, WattsStrogatzConfig,
 };
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// The six evaluation datasets of the paper's Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dataset {
     /// Colorado road network (9th DIMACS challenge) — sparse, huge diameter.
     CoRoad,
@@ -48,7 +47,7 @@ pub enum Dataset {
 }
 
 /// Graph size tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// ~1-4 K nodes: unit/property tests.
     Tiny,
@@ -75,7 +74,7 @@ impl Scale {
 
 /// The Table 1 row for a dataset (paper-reported values, for side-by-side
 /// printing in EXPERIMENTS.md).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperStats {
     /// Paper-reported node count.
     pub nodes: u64,

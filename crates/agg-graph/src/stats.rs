@@ -3,11 +3,10 @@
 //! adaptive runtime's graph inspector (Section VI).
 
 use crate::csr::{CsrGraph, NodeId, INF};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Min / max / mean of the outdegree distribution (Table 1 columns).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegreeStats {
     /// Smallest outdegree over all nodes.
     pub min: u32,
@@ -54,7 +53,7 @@ impl DegreeStats {
 }
 
 /// Full per-graph characterization (Table 1 row + inspector inputs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphStats {
     /// Node count.
     pub nodes: usize,

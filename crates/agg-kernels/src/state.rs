@@ -12,7 +12,6 @@
 use crate::variant::{AlgoOrder, Variant, WorkSet};
 use agg_gpu_sim::prelude::*;
 use agg_graph::{CsrGraph, NodeId, INF};
-use serde::{Deserialize, Serialize};
 
 /// The CSR graph uploaded to the device (the paper's Figure 7 arrays).
 pub struct DeviceGraph {
@@ -416,7 +415,7 @@ impl AlgoState {
 }
 
 /// Reuse counters of a [`StatePool`] (telemetry).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
     /// [`AlgoState`] allocations the pool ever made (misses + warm-up).
     pub created: u32,

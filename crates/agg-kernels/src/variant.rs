@@ -1,10 +1,8 @@
 //! The exploration-space coordinates (the paper's Figure 3): ordering,
 //! mapping granularity, and working-set representation.
 
-use serde::{Deserialize, Serialize};
-
 /// Ordered vs. unordered algorithm (Section IV.A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AlgoOrder {
     /// Process working-set elements in priority order (each node settled
     /// exactly once; needs findmin for SSSP).
@@ -15,7 +13,7 @@ pub enum AlgoOrder {
 }
 
 /// Work-to-hardware mapping granularity (Section IV.B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mapping {
     /// One working-set element per thread; the thread serially visits all
     /// neighbors (divergence-prone on skewed degrees).
@@ -26,7 +24,7 @@ pub enum Mapping {
 }
 
 /// Working-set representation (Section IV.C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkSet {
     /// One flag per node; synchronization-free but wasteful when sparse.
     Bitmap,
@@ -36,7 +34,7 @@ pub enum WorkSet {
 }
 
 /// One point of the exploration space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Variant {
     /// Algorithm ordering.
     pub order: AlgoOrder,

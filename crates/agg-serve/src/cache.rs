@@ -15,6 +15,8 @@
 //! entries and current-epoch entries are untouched — while
 //! [`ResultCache::stale_entries`] lets the update path *repair* stale
 //! entries (warm-start from them) before the sweep drops the leftovers.
+//! Every entry carries the typed [`Query`] it was computed for, so the
+//! repair path never has to parse a key back into a query.
 //!
 //! The cache is additionally bounded by a **byte budget**: each entry is
 //! charged its value payload (4 bytes per `u32`) plus a fixed key
@@ -24,6 +26,7 @@
 //! entries does not need an intrusive list. Values are `Arc`-shared so a
 //! hit never copies the vector.
 
+use agg_core::Query;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -36,6 +39,8 @@ const ENTRY_OVERHEAD: usize = 96;
 
 #[derive(Debug)]
 struct Entry {
+    /// The query these values answer.
+    query: Query,
     values: Arc<Vec<u32>>,
     /// Recency stamp: larger = more recently used.
     tick: u64,
@@ -100,12 +105,12 @@ impl ResultCache {
 
     /// Looks up a result, counting the hit or miss and refreshing the
     /// entry's recency on a hit.
-    pub fn get(&mut self, graph: &str, epoch: u64, key: &str) -> Option<Arc<Vec<u32>>> {
+    pub fn get(&mut self, graph: &str, epoch: u64, query: &Query) -> Option<Arc<Vec<u32>>> {
         // HashMap<(String,..)> can't be probed with borrowed parts, and
         // this is a service-path map of at most a few thousand entries —
         // allocate the probe key rather than hand-rolling a borrowed
         // tuple key.
-        let probe = (graph.to_string(), epoch, key.to_string());
+        let probe = (graph.to_string(), epoch, query.cache_key());
         self.clock += 1;
         match self.entries.get_mut(&probe) {
             Some(e) => {
@@ -123,16 +128,16 @@ impl ResultCache {
     /// Peeks without touching the hit/miss counters or recency (used by
     /// identity verification, which must not distort the reported hit
     /// rate).
-    pub fn peek(&self, graph: &str, epoch: u64, key: &str) -> Option<Arc<Vec<u32>>> {
-        let probe = (graph.to_string(), epoch, key.to_string());
+    pub fn peek(&self, graph: &str, epoch: u64, query: &Query) -> Option<Arc<Vec<u32>>> {
+        let probe = (graph.to_string(), epoch, query.cache_key());
         self.entries.get(&probe).map(|e| Arc::clone(&e.values))
     }
 
-    /// Stores a result, evicting least-recently-used entries first if the
-    /// byte budget would be exceeded. Replacing an existing key never
-    /// counts as an eviction.
-    pub fn insert(&mut self, graph: &str, epoch: u64, key: &str, values: Arc<Vec<u32>>) {
-        let full_key = (graph.to_string(), epoch, key.to_string());
+    /// Stores the result of `query`, evicting least-recently-used entries
+    /// first if the byte budget would be exceeded. Replacing an existing
+    /// key never counts as an eviction.
+    pub fn insert(&mut self, graph: &str, epoch: u64, query: Query, values: Arc<Vec<u32>>) {
+        let full_key = (graph.to_string(), epoch, query.cache_key());
         let cost = entry_cost(&values);
         if let Some(old) = self.entries.remove(&full_key) {
             self.bytes -= entry_cost(&old.values);
@@ -145,6 +150,7 @@ impl ResultCache {
         self.entries.insert(
             full_key,
             Entry {
+                query,
                 values,
                 tick: self.clock,
             },
@@ -183,20 +189,24 @@ impl ResultCache {
         removed
     }
 
-    /// Enumerates `(query key, values)` for every entry of `graph` with
-    /// an epoch **older than** `epoch` — the stale set a dynamic update
-    /// may repair (warm-start) before sweeping with
+    /// Enumerates `(query, values)` for every entry of `graph` with an
+    /// epoch **older than** `epoch` — the stale set a dynamic update may
+    /// repair (warm-start) before sweeping with
     /// [`invalidate_before`](Self::invalidate_before). Does not touch
-    /// counters or recency; keys are returned sorted for determinism.
-    pub fn stale_entries(&self, graph: &str, epoch: u64) -> Vec<(String, Arc<Vec<u32>>)> {
-        let mut stale: Vec<(String, Arc<Vec<u32>>)> = self
+    /// counters or recency; entries come back sorted by cache key for
+    /// determinism.
+    pub fn stale_entries(&self, graph: &str, epoch: u64) -> Vec<(Query, Arc<Vec<u32>>)> {
+        let mut stale: Vec<(&String, &Entry)> = self
             .entries
             .iter()
             .filter(|((g, e, _), _)| g == graph && *e < epoch)
-            .map(|((_, _, k), entry)| (k.clone(), Arc::clone(&entry.values)))
+            .map(|((_, _, key), entry)| (key, entry))
             .collect();
-        stale.sort_by(|a, b| a.0.cmp(&b.0));
+        stale.sort_by_key(|&(key, _)| key);
         stale
+            .into_iter()
+            .map(|(_, entry)| (entry.query, Arc::clone(&entry.values)))
+            .collect()
     }
 
     /// Bytes currently charged against the budget.
@@ -231,33 +241,33 @@ mod tests {
     #[test]
     fn hits_and_misses_are_counted_and_values_are_shared() {
         let mut cache = ResultCache::new();
-        assert!(cache.get("g", 0, "bfs:0").is_none());
-        cache.insert("g", 0, "bfs:0", vals(&[0, 1, 2]));
-        let v = cache.get("g", 0, "bfs:0").expect("hit");
+        assert!(cache.get("g", 0, &Query::Bfs { src: 0 }).is_none());
+        cache.insert("g", 0, Query::Bfs { src: 0 }, vals(&[0, 1, 2]));
+        let v = cache.get("g", 0, &Query::Bfs { src: 0 }).expect("hit");
         assert_eq!(*v, vec![0, 1, 2]);
         assert_eq!((cache.hits, cache.misses), (1, 1));
         // peek doesn't move the counters
-        assert!(cache.peek("g", 0, "bfs:0").is_some());
+        assert!(cache.peek("g", 0, &Query::Bfs { src: 0 }).is_some());
         assert_eq!((cache.hits, cache.misses), (1, 1));
         // same query at a different epoch is a distinct entry
-        assert!(cache.get("g", 1, "bfs:0").is_none());
+        assert!(cache.get("g", 1, &Query::Bfs { src: 0 }).is_none());
         assert_eq!(cache.misses, 2);
     }
 
     #[test]
     fn invalidation_strands_exactly_the_older_entries_of_one_graph() {
         let mut cache = ResultCache::new();
-        cache.insert("a", 0, "bfs:0", vals(&[1]));
-        cache.insert("a", 0, "cc", vals(&[2]));
-        cache.insert("a", 1, "bfs:0", vals(&[3]));
-        cache.insert("b", 0, "bfs:0", vals(&[4]));
+        cache.insert("a", 0, Query::Bfs { src: 0 }, vals(&[1]));
+        cache.insert("a", 0, Query::Cc, vals(&[2]));
+        cache.insert("a", 1, Query::Bfs { src: 0 }, vals(&[3]));
+        cache.insert("b", 0, Query::Bfs { src: 0 }, vals(&[4]));
         assert_eq!(cache.invalidate_before("a", 1), 2);
         assert_eq!(cache.len(), 2);
         // graph a's epoch-1 entry survives, graph b is untouched
-        assert!(cache.peek("a", 1, "bfs:0").is_some());
-        assert!(cache.peek("b", 0, "bfs:0").is_some());
-        assert!(cache.peek("a", 0, "bfs:0").is_none());
-        assert!(cache.peek("a", 0, "cc").is_none());
+        assert!(cache.peek("a", 1, &Query::Bfs { src: 0 }).is_some());
+        assert!(cache.peek("b", 0, &Query::Bfs { src: 0 }).is_some());
+        assert!(cache.peek("a", 0, &Query::Bfs { src: 0 }).is_none());
+        assert!(cache.peek("a", 0, &Query::Cc).is_none());
         assert_eq!(cache.invalidated, 2);
         // idempotent: a second sweep removes nothing
         assert_eq!(cache.invalidate_before("a", 1), 0);
@@ -267,17 +277,17 @@ mod tests {
     fn byte_budget_evicts_least_recently_used_first() {
         // Budget fits exactly two single-word entries.
         let mut cache = ResultCache::with_budget(2 * (4 + 96));
-        cache.insert("g", 0, "bfs:0", vals(&[1]));
-        cache.insert("g", 0, "bfs:1", vals(&[2]));
+        cache.insert("g", 0, Query::Bfs { src: 0 }, vals(&[1]));
+        cache.insert("g", 0, Query::Bfs { src: 1 }, vals(&[2]));
         assert_eq!(cache.bytes(), 2 * 100);
         // Touch bfs:0 so bfs:1 becomes the LRU victim.
-        assert!(cache.get("g", 0, "bfs:0").is_some());
-        cache.insert("g", 0, "bfs:2", vals(&[3]));
+        assert!(cache.get("g", 0, &Query::Bfs { src: 0 }).is_some());
+        cache.insert("g", 0, Query::Bfs { src: 2 }, vals(&[3]));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evicted, 1);
-        assert!(cache.peek("g", 0, "bfs:0").is_some());
-        assert!(cache.peek("g", 0, "bfs:1").is_none());
-        assert!(cache.peek("g", 0, "bfs:2").is_some());
+        assert!(cache.peek("g", 0, &Query::Bfs { src: 0 }).is_some());
+        assert!(cache.peek("g", 0, &Query::Bfs { src: 1 }).is_none());
+        assert!(cache.peek("g", 0, &Query::Bfs { src: 2 }).is_some());
         // Accounting survives eviction and invalidation alike.
         cache.invalidate_before("g", 1);
         assert_eq!(cache.bytes(), 0);
@@ -287,38 +297,38 @@ mod tests {
     #[test]
     fn oversized_entry_is_admitted_alone() {
         let mut cache = ResultCache::with_budget(8);
-        cache.insert("g", 0, "cc", vals(&[1, 2, 3, 4]));
+        cache.insert("g", 0, Query::Cc, vals(&[1, 2, 3, 4]));
         assert_eq!(cache.len(), 1);
-        assert!(cache.peek("g", 0, "cc").is_some());
+        assert!(cache.peek("g", 0, &Query::Cc).is_some());
         // The next insert evicts it — accumulation stays bounded.
-        cache.insert("g", 0, "bfs:0", vals(&[5]));
+        cache.insert("g", 0, Query::Bfs { src: 0 }, vals(&[5]));
         assert_eq!(cache.len(), 1);
-        assert!(cache.peek("g", 0, "cc").is_none());
+        assert!(cache.peek("g", 0, &Query::Cc).is_none());
         assert_eq!(cache.evicted, 1);
     }
 
     #[test]
     fn replacing_a_key_is_not_an_eviction_and_rebalances_bytes() {
         let mut cache = ResultCache::new();
-        cache.insert("g", 0, "cc", vals(&[1, 2, 3, 4]));
+        cache.insert("g", 0, Query::Cc, vals(&[1, 2, 3, 4]));
         let big = cache.bytes();
-        cache.insert("g", 0, "cc", vals(&[9]));
+        cache.insert("g", 0, Query::Cc, vals(&[9]));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.evicted, 0);
         assert!(cache.bytes() < big);
-        assert_eq!(*cache.peek("g", 0, "cc").unwrap(), vec![9]);
+        assert_eq!(*cache.peek("g", 0, &Query::Cc).unwrap(), vec![9]);
     }
 
     #[test]
     fn stale_entries_enumerates_exactly_the_older_epochs_of_one_graph() {
         let mut cache = ResultCache::new();
-        cache.insert("a", 0, "bfs:0", vals(&[1]));
-        cache.insert("a", 1, "cc", vals(&[2]));
-        cache.insert("a", 2, "sssp:3", vals(&[3]));
-        cache.insert("b", 0, "bfs:0", vals(&[4]));
+        cache.insert("a", 0, Query::Bfs { src: 0 }, vals(&[1]));
+        cache.insert("a", 1, Query::Cc, vals(&[2]));
+        cache.insert("a", 2, Query::Sssp { src: 3 }, vals(&[3]));
+        cache.insert("b", 0, Query::Bfs { src: 0 }, vals(&[4]));
         let stale = cache.stale_entries("a", 2);
-        let keys: Vec<&str> = stale.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, vec!["bfs:0", "cc"]);
+        let queries: Vec<Query> = stale.iter().map(|(q, _)| *q).collect();
+        assert_eq!(queries, vec![Query::Bfs { src: 0 }, Query::Cc]);
         // Enumeration is non-destructive and counter-neutral.
         assert_eq!(cache.len(), 4);
         assert_eq!((cache.hits, cache.misses), (0, 0));

@@ -355,7 +355,7 @@ pub fn replay(
                 query_index += 1;
                 let host = &mut hosts[host_index[graph]];
                 let hit = if config.use_cache {
-                    cache.get(&host.name, host.epoch, &records[record].key)
+                    cache.get(&host.name, host.epoch, query)
                 } else {
                     None
                 };

@@ -150,12 +150,8 @@ impl Hosted {
         let m = self.graph.edge_count();
         let avg_out_degree = m as f64 / n.max(1) as f64;
         let mut repaired = 0usize;
-        for (key, old) in cache.stale_entries(&self.name, self.epoch) {
-            // PageRank (and anything unparseable) has no repair path —
-            // leave it for the sweep below.
-            let Some(query) = query_from_cache_key(&key) else {
-                continue;
-            };
+        for (query, old) in cache.stale_entries(&self.name, self.epoch) {
+            // PageRank has no repair path — leave it for the sweep below.
             let Some(kind) = RepairKind::from_query(&query) else {
                 continue;
             };
@@ -164,7 +160,7 @@ impl Hosted {
             }
             match plan_repair(kind, &old, &out.added, &out.removed, n, m, avg_out_degree) {
                 RepairPlan::Unchanged => {
-                    cache.insert(&self.name, self.epoch, &key, old);
+                    cache.insert(&self.name, self.epoch, query, old);
                     repaired += 1;
                 }
                 RepairPlan::Incremental { .. } => {
@@ -172,7 +168,7 @@ impl Hosted {
                     // strategy) just drops the entry; never fail the
                     // update over a cache repair.
                     if let Ok(rep) = self.session.run_warm(query, options, &old, &out.added) {
-                        cache.insert(&self.name, self.epoch, &key, Arc::new(rep.values));
+                        cache.insert(&self.name, self.epoch, query, Arc::new(rep.values));
                         repaired += 1;
                     }
                 }
@@ -219,12 +215,11 @@ impl Hosted {
         // Which unique run feeds each un-cached slot.
         let mut feeds: Vec<(usize, usize)> = Vec::new();
         for (i, q) in queries.iter().enumerate() {
-            let key = q.cache_key();
-            if let Some(values) = cache.get(&self.name, self.epoch, &key) {
+            if let Some(values) = cache.get(&self.name, self.epoch, q) {
                 slots[i] = Some((values, true));
                 continue;
             }
-            let u = *unique_index.entry(key).or_insert_with(|| {
+            let u = *unique_index.entry(q.cache_key()).or_insert_with(|| {
                 unique.push(*q);
                 unique.len() - 1
             });
@@ -240,7 +235,7 @@ impl Hosted {
                 .map(|qr| Arc::new(qr.report.values))
                 .collect();
             for (q, values) in unique.iter().zip(&fresh) {
-                cache.insert(&self.name, self.epoch, &q.cache_key(), Arc::clone(values));
+                cache.insert(&self.name, self.epoch, *q, Arc::clone(values));
             }
             for (slot, u) in feeds {
                 slots[slot] = Some((Arc::clone(&fresh[u]), false));
@@ -266,22 +261,6 @@ impl Hosted {
     ) -> Result<Vec<u32>, CoreError> {
         Ok(self.session.run(query, options)?.values)
     }
-}
-
-/// Inverts [`Query::cache_key`] for the repairable algorithms. PageRank
-/// keys return `None` — rank vectors have no monotone repair, so their
-/// stale entries are always dropped.
-fn query_from_cache_key(key: &str) -> Option<Query> {
-    if key == "cc" {
-        return Some(Query::Cc);
-    }
-    if let Some(src) = key.strip_prefix("bfs:") {
-        return src.parse().ok().map(|src| Query::Bfs { src });
-    }
-    if let Some(src) = key.strip_prefix("sssp:") {
-        return src.parse().ok().map(|src| Query::Sssp { src });
-    }
-    None
 }
 
 /// Service tuning.

@@ -40,7 +40,7 @@ pub mod prelude {
         ShardedGraph, Strategy,
     };
     pub use agg_cpu::{bfs as cpu_bfs, dijkstra as cpu_dijkstra, CpuCostModel};
-    pub use agg_gpu_sim::{Device, DeviceConfig, ExecEngine, ExecMode, Interconnect, SimFidelity};
+    pub use agg_gpu_sim::{Device, DeviceConfig, ExecEngine, Interconnect, SimFidelity};
     pub use agg_graph::{
         partition, CsrGraph, Dataset, GraphBuilder, GraphStats, Partition, PartitionStrategy,
         Scale, ShardPlan, INF,

@@ -323,7 +323,7 @@ proptest! {
             let mut gg = GpuGraph::new(&g).unwrap();
             expected.push(gg.run(*q, &RunOptions::default()).unwrap());
         }
-        // Batched, both host execution modes.
+        // Batched, on the main device and fanned across three workers.
         let mut seq = Session::new(&g).unwrap();
         let mut par = Session::parallel(&g, DeviceConfig::tesla_c2070(), 3).unwrap();
         for batch in [
@@ -335,6 +335,7 @@ proptest! {
                 prop_assert_eq!(&qr.query, &queries[i]);
                 prop_assert_eq!(&qr.report.values, &e.values, "query #{} {:?}", i, queries[i]);
                 prop_assert_eq!(qr.report.iterations, e.iterations);
+                prop_assert_eq!(qr.report.launches, e.launches);
             }
             // Per-query device-time slices telescope to the batch total.
             let sum: f64 = batch.queries.iter().map(|q| q.device_ns).sum();
