@@ -963,7 +963,6 @@ fn serve(cli: &Cli) {
     let base = agg_serve::ReplayConfig {
         queue_capacity: cli.queries,
         max_batch: 8,
-        max_wait_ns: 200_000,
         cache_hit_ns: 20_000,
         verify_hits: false,
         use_cache: true,
@@ -1055,7 +1054,6 @@ fn serve(cli: &Cli) {
             Json::arr(hosted.iter().map(|(_, n)| Json::from(*n))),
         ),
         ("max_batch", base.max_batch.into()),
-        ("max_wait_ns", base.max_wait_ns.into()),
         ("cache_hit_ns", base.cache_hit_ns.into()),
         ("qps", cached.qps.into()),
         ("p50_latency_ns", cached.p50_latency_ns.into()),

@@ -202,13 +202,17 @@ fn indent(out: &mut String, depth: usize) {
 }
 
 fn write_num(x: f64, out: &mut String) {
+    use std::fmt::Write as _;
+    // Formats straight into `out`: a value vector renders one number per
+    // node, so a temporary `String` per number would dominate encoding.
+    // Writing to a `String` cannot fail.
     if !x.is_finite() {
         out.push_str("null");
     } else if x == x.trunc() && x.abs() < 9.0e15 {
         // Integral values print without a fraction so counters stay exact.
-        out.push_str(&format!("{}", x as i64));
+        let _ = write!(out, "{}", x as i64);
     } else {
-        out.push_str(&format!("{x}"));
+        let _ = write!(out, "{x}");
     }
 }
 
@@ -506,6 +510,41 @@ mod tests {
         assert_eq!(Json::Num(f64::NAN).render(), "null");
         assert_eq!(Json::Num(f64::INFINITY).render(), "null");
         assert_eq!(Json::from(1u64 << 50).render(), "1125899906842624");
+    }
+
+    #[test]
+    fn number_rendering_is_pinned_byte_for_byte() {
+        for (x, text) in [
+            // Integral below 9e15: printed as an integer.
+            (0.0, "0"),
+            (-0.0, "0"),
+            (7.0, "7"),
+            (-42.0, "-42"),
+            (4_294_967_295.0, "4294967295"),
+            (8_999_999_999_999_998.0, "8999999999999998"),
+            // Fractional: the shortest round-trippable decimal.
+            (0.5, "0.5"),
+            (-17.25, "-17.25"),
+            (0.1, "0.1"),
+            (1e-5, "0.00001"),
+            (0.85f32 as f64, "0.8500000238418579"),
+            (-1.5e-7, "-0.00000015"),
+            // Non-finite: null.
+            (f64::NAN, "null"),
+            (f64::INFINITY, "null"),
+            (f64::NEG_INFINITY, "null"),
+            // Integral at or past 9e15: f64's own Display.
+            (9.0e15, "9000000000000000"),
+            (-9.0e15, "-9000000000000000"),
+            (1e20, "100000000000000000000"),
+            (f64::MAX, &format!("{}", f64::MAX)),
+        ] {
+            assert_eq!(Json::Num(x).render(), text, "rendering {x:e}");
+        }
+        assert_eq!(
+            Json::arr([Json::Num(1.0), Json::Num(-0.25), Json::Num(f64::NAN)]).render(),
+            "[1,-0.25,null]"
+        );
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! ```text
 //!   clients ──frames──▶ admission ──▶ micro-batcher ──▶ Session::run_batch
-//!                (bounded queue,   (flush on batch      (one resident graph
-//!                 typed shed)       size or deadline)    per hosted name)
+//!                (bounded queue,   (flush what is       (one resident graph
+//!                 typed shed)       queued when free)    per hosted name)
 //!                        │                                   │
 //!                        └──────── epoch-keyed result cache ◀┘
 //! ```

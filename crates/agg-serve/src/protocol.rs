@@ -40,18 +40,28 @@ use std::io::{Read, Write};
 /// prefix fails fast instead of attempting a huge allocation.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame with a single `write_all`.
+///
+/// Header and payload go out as one buffer: on a `TcpStream`, two writes
+/// let Nagle's algorithm hold the payload until the peer's delayed ACK of
+/// the header (tens of milliseconds per frame).
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     let len = u32::try_from(payload.len()).map_err(|_| {
         std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large")
     })?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
 /// Reads one length-prefixed frame; `Ok(None)` on a clean EOF at a frame
 /// boundary (the peer closed the connection between frames).
+///
+/// The payload buffer grows with the bytes actually received, so a
+/// length prefix that promises more than the peer sends costs no more
+/// memory than what arrived.
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
     match r.read_exact(&mut len_buf) {
@@ -66,8 +76,14 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
             format!("frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::new();
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("frame truncated: {} of {len} payload bytes", payload.len()),
+        ));
+    }
     Ok(Some(payload))
 }
 
@@ -730,6 +746,51 @@ mod tests {
         let huge = (MAX_FRAME_LEN as u32 + 1).to_be_bytes();
         let mut r = &huge[..];
         assert!(read_frame(&mut r).is_err());
+    }
+
+    #[test]
+    fn a_frame_header_without_its_payload_is_unexpected_eof() {
+        // The largest legal length prefix, then the peer hangs up after
+        // no or a few payload bytes: the read fails as truncated.
+        let mut buf = (MAX_FRAME_LEN as u32).to_be_bytes().to_vec();
+        buf.extend_from_slice(b"partial");
+        for bytes in [&buf[..4], &buf[..]] {
+            let mut r = bytes;
+            let err = read_frame(&mut r).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+        }
+    }
+
+    /// A sink that counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_issues_exactly_one_write() {
+        // Header and payload in one write: two writes on a TCP socket
+        // stall the payload behind Nagle and the peer's delayed ACK.
+        for payload in [&b""[..], b"x", &[7u8; 70_000][..]] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, 1, "{}-byte payload", payload.len());
+            assert_eq!(&w.bytes[..4], &(payload.len() as u32).to_be_bytes());
+            assert_eq!(&w.bytes[4..], payload);
+        }
     }
 
     #[test]

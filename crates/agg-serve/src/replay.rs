@@ -19,9 +19,11 @@
 //!    `arrival + cache_hit_ns` and never occupies a queue slot.
 //! 2. A miss is admitted to the pending queue, or **shed** if
 //!    [`ReplayConfig::queue_capacity`] queries are already pending.
-//! 3. The server flushes the oldest `max_batch` pending queries when it
-//!    is free and either the batch is full or the oldest pending query
-//!    has waited [`ReplayConfig::max_wait_ns`].
+//! 3. The server flushes the oldest ≤ `max_batch` pending queries as
+//!    soon as it is free: a flush starts at the later of the oldest
+//!    pending arrival and the end of the previous flush, and never waits
+//!    for a batch to fill. Queries that arrive while a flush executes
+//!    queue up and make up the next one.
 //! 4. A flush groups its queries by graph and serves each group through
 //!    [`Hosted::serve_batch`] (cache re-check, dedup, one
 //!    `Session::run_batch`, memoize); the groups share one device, so
@@ -43,11 +45,8 @@ use std::sync::Arc;
 pub struct ReplayConfig {
     /// Admission bound on pending (queued, un-flushed) queries.
     pub queue_capacity: usize,
-    /// Flush as soon as this many queries are pending.
+    /// Most pending queries one flush serves.
     pub max_batch: usize,
-    /// Flush a partial batch once its oldest query has waited this long
-    /// (virtual ns).
-    pub max_wait_ns: u64,
     /// Modeled cost of answering straight from the cache, ns.
     pub cache_hit_ns: u64,
     /// Recompute every cache hit through the uncached path and compare
@@ -64,7 +63,6 @@ impl Default for ReplayConfig {
         ReplayConfig {
             queue_capacity: 256,
             max_batch: 8,
-            max_wait_ns: 200_000,
             cache_hit_ns: 20_000,
             verify_hits: false,
             use_cache: true,
@@ -290,17 +288,12 @@ pub fn replay(
         Ok(())
     };
 
-    // When (in virtual time) the current pending set will flush, if ever.
-    let flush_due = |pending: &[Pending], t_free: u64| -> Option<u64> {
-        let first = pending.first()?;
-        let trigger = if pending.len() >= config.max_batch {
-            // The batch filled when its max_batch-th member arrived.
-            pending[config.max_batch - 1].at_ns
-        } else {
-            first.at_ns + config.max_wait_ns
-        };
-        Some(trigger.max(t_free))
-    };
+    // When (in virtual time) the next flush starts: as soon as the server
+    // is free and something is pending. Every query pending then arrived
+    // by that time (one queued behind another arrived while the server
+    // was busy, before `t_free`).
+    let flush_due =
+        |pending: &[Pending], t_free: u64| pending.first().map(|p| p.at_ns.max(t_free));
 
     let mut query_index = 0usize;
     for arrival in &trace.arrivals {

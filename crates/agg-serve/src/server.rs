@@ -30,13 +30,11 @@ use agg_dynamic::{plan_repair, DynStats, DynamicGraph, RepairKind, RepairPlan, U
 use agg_gpu_sim::DeviceConfig;
 use agg_graph::CsrGraph;
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// A graph resident in the service: the `Arc`-shared current snapshot,
 /// the batch-dynamic graph behind it, the [`Session`] that answers
@@ -269,11 +267,10 @@ pub struct ServeConfig {
     /// Admission bound: query requests beyond this many pending are shed
     /// with a typed [`Response::Overloaded`].
     pub queue_capacity: usize,
-    /// Flush a micro-batch as soon as it holds this many queries.
+    /// Most queries one micro-batch flush serves. The service thread
+    /// flushes as soon as it is free, taking whatever is queued up to
+    /// this many; it never waits for a batch to fill.
     pub max_batch: usize,
-    /// Flush a smaller micro-batch once its oldest query has waited this
-    /// long.
-    pub max_wait: Duration,
     /// Device every hosted graph is uploaded to.
     pub device: DeviceConfig,
 }
@@ -283,7 +280,6 @@ impl Default for ServeConfig {
         ServeConfig {
             queue_capacity: 64,
             max_batch: 8,
-            max_wait: Duration::from_millis(2),
             device: DeviceConfig::tesla_c2070(),
         }
     }
@@ -393,6 +389,10 @@ impl Server {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
+                    // A flush answers several queries back to back on one
+                    // connection; Nagle would hold each response after the
+                    // first until the client ACKs.
+                    let _ = stream.set_nodelay(true);
                     let tx = tx.clone();
                     let stats = Arc::clone(&stats);
                     std::thread::spawn(move || reader_loop(stream, &tx, capacity, &stats));
@@ -516,8 +516,7 @@ fn reader_loop(stream: TcpStream, tx: &SyncSender<Work>, capacity: usize, stats:
 fn send_response(reply: &Reply, resp: &Response) -> std::io::Result<()> {
     let payload = resp.to_json().render().into_bytes();
     let mut stream = reply.lock().unwrap_or_else(|p| p.into_inner());
-    write_frame(&mut *stream, &payload)?;
-    stream.flush()
+    write_frame(&mut *stream, &payload)
 }
 
 /// The service thread: micro-batch queries, process control work inline.
@@ -545,12 +544,11 @@ fn service_loop(
                 continue;
             }
         }
-        // Collect the micro-batch: flush on size or on the oldest
-        // query's deadline, whichever comes first.
-        let deadline = Instant::now() + config.max_wait;
+        // Collect the micro-batch from what is already queued, up to
+        // `max_batch`, and flush without waiting for more: queries that
+        // arrive while this flush executes make up the next batch.
         while batch.len() < config.max_batch {
-            let left = deadline.saturating_duration_since(Instant::now());
-            match rx.recv_timeout(left) {
+            match rx.try_recv() {
                 Ok(Work::Query { id, graph, query, reply }) => {
                     batch.push((id, graph, query, reply));
                 }
@@ -559,8 +557,8 @@ fn service_loop(
                     break;
                 }
                 Ok(control) => handle_control(control, &mut hosts, &mut cache, stats),
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => {
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => {
                     stop = true;
                     break;
                 }
@@ -733,12 +731,12 @@ pub struct ServeClient {
 }
 
 impl ServeClient {
-    /// Connects to a running [`Server`].
+    /// Connects to a running [`Server`], with Nagle's algorithm off so
+    /// each request leaves as soon as it is written.
     pub fn connect(addr: SocketAddr) -> Result<ServeClient, ServeError> {
-        Ok(ServeClient {
-            stream: TcpStream::connect(addr)?,
-            next_id: 1,
-        })
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(ServeClient { stream, next_id: 1 })
     }
 
     /// Sends one request and waits for its response.
@@ -1017,7 +1015,6 @@ mod tests {
         let config = ServeConfig {
             queue_capacity: 2,
             max_batch: 1,
-            max_wait: Duration::from_millis(1),
             ..ServeConfig::default()
         };
         let server = Server::start(hosts(&config.device), config).expect("start");
@@ -1062,5 +1059,26 @@ mod tests {
         let stats = server.shutdown();
         assert_eq!(stats.shed, shed);
         assert_eq!(stats.served, answered);
+    }
+
+    #[test]
+    fn a_round_trip_is_not_held_by_nagle_or_delayed_ack() {
+        // Split frame writes without TCP_NODELAY cost ~40 ms per leg on
+        // loopback (Nagle waiting for the peer's delayed ACK); a stats
+        // request does no work, so its round trip is pure transport.
+        let config = ServeConfig::default();
+        let server = Server::start(hosts(&config.device), config).expect("start");
+        let mut client = ServeClient::connect(server.addr()).expect("connect");
+        let mut rtt_ms: Vec<f64> = (0..20)
+            .map(|_| {
+                let t = std::time::Instant::now();
+                client.stats().expect("stats");
+                t.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        rtt_ms.sort_by(f64::total_cmp);
+        let median = (rtt_ms[9] + rtt_ms[10]) / 2.0;
+        assert!(median < 10.0, "median stats round trip {median:.3} ms: {rtt_ms:?}");
+        server.shutdown();
     }
 }
