@@ -613,8 +613,9 @@ fn differential(cli: &Cli) {
 ///
 /// Writes `BENCH_sim.json` at the repository root with per-leg
 /// corpus-vs-workload wall breakdowns and a rolling `speedup_timed`
-/// history; the CI `sim-speed` job gates on `speedup` (leg 1 / leg 4)
-/// and `speedup_timed` (leg 1 / leg 3) staying above their floors.
+/// history; the CI `sim-speed` job gates on `speedup` (leg 1 / leg 4),
+/// `speedup_timed` (leg 1 / leg 3) and `speedup_timed_races` (leg 1 /
+/// leg 2) staying above their floors.
 fn simbench(cli: &Cli) {
     banner("Simulator speed: repro + differential suites, interpreter vs bytecode");
     let legs: [(&str, ExecEngine, SimFidelity); 4] = [

@@ -28,7 +28,8 @@
 //!   [`BlockCost`] stream *bit- and time-identically*: the same charge
 //!   points, the same coalescing/bank-conflict/atomic-serialization
 //!   accounting in the same order, the same divergence counting, and the
-//!   same race-detection access log (epoch/seq happens-before clocks).
+//!   same race-detection access log (epoch/seq happens-before clocks),
+//!   minus the loads that cannot race (see [`RaceLog`]).
 //! * **fast-functional** (`TIMED = false`) keeps the memory semantics —
 //!   masks, `Return` deactivation, deterministic ascending-lane atomic
 //!   order, bounds checks and traps, barrier collectives — but skips
@@ -58,7 +59,7 @@ use crate::ir::expr::{apply_binop, apply_unop, Binop, Expr, Special, Unop};
 use crate::ir::stmt::{AtomicOp, BarrierOp, Stmt};
 use crate::mem::coalesce::{transactions_for_words, PatternCache};
 use crate::mem::global::Buffer;
-use crate::mem::race::{AccessKind, AccessRecord, SHARED_SLOT};
+use crate::mem::race::{AccessKind, AccessRecord, RaceLog, Writes, SHARED_SLOT};
 use crate::mem::shared::bank_conflict_replays;
 use crate::timing::cost::BlockCost;
 use std::sync::atomic::Ordering;
@@ -201,6 +202,9 @@ pub(crate) struct Bytecode {
     /// Global-access sites (one per `LoadG`/`StoreCheck`), sizing the
     /// per-launch coalescing-pattern cache.
     num_sites: u32,
+    /// The slots (and shared memory) the kernel stores to or updates
+    /// atomically: the race log's load filter.
+    pub(crate) writes: Writes,
 }
 
 impl Bytecode {
@@ -700,12 +704,26 @@ pub(crate) fn compile(kernel: &Kernel) -> Bytecode {
             LeafKey::Special(s) => LeafInit::Special { dst, s },
         })
         .collect();
+    let mut writes = Writes {
+        bufs: vec![false; kernel.num_bufs as usize],
+        shared: false,
+    };
+    for op in phases.iter().flat_map(|p| &p.ops) {
+        match *op {
+            Op::StoreG { buf, .. } | Op::AtomicApply { buf, .. } => {
+                writes.bufs[buf as usize] = true
+            }
+            Op::StoreS { .. } => writes.shared = true,
+            _ => {}
+        }
+    }
     Bytecode {
         phases,
         prologue,
         exprs: c.exprs,
         num_vregs: c.max_vregs,
         num_sites: c.sites,
+        writes,
     }
 }
 
@@ -820,7 +838,7 @@ struct WarpExec<'a, 'g> {
     acc: BlockCost,
     epoch: &'a mut u32,
     seq: &'a mut u32,
-    log: Option<&'a mut Vec<AccessRecord>>,
+    log: Option<&'a mut RaceLog>,
     frames: &'a mut Vec<Frame>,
     coalesce: &'a mut [PatternCache],
 }
@@ -863,6 +881,14 @@ impl<'a, 'g> WarpExec<'a, 'g> {
                 seq,
             });
         }
+    }
+
+    /// True when race detection is on and a plain load through `slot` can
+    /// race, so must be logged: loads that cannot race are left out (see
+    /// [`RaceLog`]).
+    #[inline]
+    fn logs_load(&self, slot: u16) -> bool {
+        self.log.as_deref().is_some_and(|l| l.load_can_race(slot))
     }
 
     fn oob(&self, buf_slot: u8, index: u64) -> SimError {
@@ -943,6 +969,7 @@ impl<'a, 'g> WarpExec<'a, 'g> {
             self.acc.stall_cycles += self.g.cfg.mem_latency_cycles;
         }
         let b: &Buffer = self.g.bufs[buf as usize];
+        let logged = TIMED && self.logs_load(buf as u16);
         let mut m = mask;
         while m != 0 {
             let lane = m.trailing_zeros();
@@ -950,7 +977,7 @@ impl<'a, 'g> WarpExec<'a, 'g> {
             let i = self.vr[Self::row(idx, lane)];
             let v = b.data[i as usize].load(Ordering::Relaxed);
             self.vr[Self::row(dst, lane)] = v;
-            if TIMED && self.log.is_some() {
+            if logged {
                 self.log_access(buf as u16, i, AccessKind::Read, 0);
             }
         }
@@ -1112,12 +1139,13 @@ impl<'a, 'g> WarpExec<'a, 'g> {
         } else {
             0
         };
+        let load_logged = TIMED && self.logs_load(SHARED_SLOT);
         for k in 0..n {
             let (lane, word) = (lanes[k], words[k] as usize);
             if let Some(dst) = load_dst {
                 let v = self.shared[word];
                 self.vr[Self::row(dst, lane)] = v;
-                if TIMED && self.log.is_some() {
+                if load_logged {
                     self.log_access(SHARED_SLOT, word as u32, AccessKind::Read, 0);
                 }
             } else if let Some(val) = store_val {
@@ -1436,14 +1464,14 @@ fn run_prologue(bc: &Bytecode, g: &GridCtx<'_>, block_idx: u32, warp_base: u32, 
 
 /// Executes one block of the launch on the bytecode engine, reusing
 /// `scratch` between calls. `timed` selects the timed or fast-functional
-/// driver; `log` collects access records when race detection is on
-/// (timed only).
+/// driver; `log` collects the access records that can race when race
+/// detection is on (timed only).
 pub(crate) fn run_block(
     g: &GridCtx<'_>,
     bc: &Bytecode,
     block_idx: u32,
     scratch: &mut BcScratch,
-    log: Option<&mut Vec<AccessRecord>>,
+    log: Option<&mut RaceLog>,
     timed: bool,
 ) -> Result<BlockCost, SimError> {
     if timed {
@@ -1458,7 +1486,7 @@ fn run_block_impl<const TIMED: bool>(
     bc: &Bytecode,
     block_idx: u32,
     scratch: &mut BcScratch,
-    mut log: Option<&mut Vec<AccessRecord>>,
+    mut log: Option<&mut RaceLog>,
 ) -> Result<BlockCost, SimError> {
     let warps = g.cfg.warps_for(g.block_dim).max(1);
     let vregs_per_warp = bc.num_vregs as usize * WARP as usize;
@@ -1620,17 +1648,47 @@ mod tests {
     use crate::exec::interp;
     use crate::ir::builder::KernelBuilder;
     use crate::mem::global::GlobalMemory;
+    use crate::mem::race::{analyze, RaceClass, RaceReport};
+
+    /// What one equivalence run leaves behind (shared by both engines).
+    struct Equiv {
+        costs: Vec<BlockCost>,
+        mem: Vec<Vec<u32>>,
+        /// The bytecode engine's race log, sorted by location.
+        log: Vec<AccessRecord>,
+        races: RaceReport,
+    }
+
+    /// True when a plain load of `r`'s word can race in `kernel`: its slot
+    /// (or shared memory) is stored to or atomically updated somewhere in
+    /// the body. Restates the log filter from the IR, independently of
+    /// the compiled [`Writes`].
+    fn load_can_race(kernel: &Kernel, r: &AccessRecord) -> bool {
+        let mut racy = false;
+        for s in &kernel.body {
+            s.visit(&mut |s| {
+                racy |= match s {
+                    Stmt::Store { buf, .. } | Stmt::Atomic { buf, .. } => buf.0 as u16 == r.buf,
+                    Stmt::SharedStore { .. } => r.buf == SHARED_SLOT,
+                    _ => false,
+                }
+            });
+        }
+        racy
+    }
 
     /// Runs `kernel` under both engines on identical memory images and
-    /// asserts bit-identical buffers, per-block costs, and race logs;
-    /// returns the (shared) per-block costs and the final memory image.
+    /// asserts bit-identical buffers and per-block costs. The bytecode
+    /// race log must equal, record for record, the interpreter's full log
+    /// with the loads that cannot race removed, and both logs must give
+    /// equal race reports.
     fn assert_equiv(
         kernel: &Kernel,
         bufs_init: &[Vec<u32>],
         scalars: &[u32],
         grid_dim: u32,
         block_dim: u32,
-    ) -> (Vec<BlockCost>, Vec<Vec<u32>>) {
+    ) -> Equiv {
         type EquivRun = (Vec<BlockCost>, Vec<Vec<u32>>, Vec<AccessRecord>);
         let cfg = DeviceConfig::tesla_c2070();
         let run = |engine: &str| -> Result<EquivRun, SimError> {
@@ -1649,7 +1707,8 @@ mod tests {
                 grid_dim,
                 block_dim,
             };
-            let mut log = Vec::new();
+            let bc = compile(kernel);
+            let mut log = RaceLog::new(&ptrs, &bc.writes);
             let mut costs = Vec::new();
             if engine == "interp" {
                 let mut scratch = interp::Scratch::default();
@@ -1657,7 +1716,6 @@ mod tests {
                     costs.push(interp::run_block(&g, b, &mut scratch, Some(&mut log))?);
                 }
             } else {
-                let bc = compile(kernel);
                 let mut scratch = BcScratch::default();
                 for b in 0..grid_dim {
                     costs.push(run_block(&g, &bc, b, &mut scratch, Some(&mut log), true)?);
@@ -1665,13 +1723,27 @@ mod tests {
             }
             drop(g);
             let imgs = ptrs.iter().map(|&p| mem.read(p).unwrap()).collect();
-            Ok((costs, imgs, log))
+            Ok((costs, imgs, log.records))
         };
-        let (ci, mi, li) = run("interp").expect("interpreter run succeeds");
-        let (cb, mb, lb) = run("bytecode").expect("bytecode run succeeds");
+        let (ci, mi, mut li) = run("interp").expect("interpreter run succeeds");
+        let (cb, mb, mut lb) = run("bytecode").expect("bytecode run succeeds");
         assert_eq!(mi, mb, "output buffers differ for '{}'", kernel.name);
         assert_eq!(ci, cb, "block costs differ for '{}'", kernel.name);
-        assert_eq!(li, lb, "race logs differ for '{}'", kernel.name);
+        let filtered: Vec<AccessRecord> = li
+            .iter()
+            .copied()
+            .filter(|r| r.kind != AccessKind::Read || load_can_race(kernel, r))
+            .collect();
+        assert_eq!(filtered, lb, "race logs differ for '{}'", kernel.name);
+        let labels: Vec<String> = (0..bufs_init.len()).map(|i| format!("b{i}")).collect();
+        let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
+        let races = analyze(&kernel.name, &labels, &mut lb);
+        assert_eq!(
+            analyze(&kernel.name, &labels, &mut li),
+            races,
+            "race reports differ for '{}'",
+            kernel.name
+        );
 
         // Fast-functional: same buffers, zero cost.
         let mut mem = GlobalMemory::new();
@@ -1700,7 +1772,12 @@ mod tests {
         let mf: Vec<Vec<u32>> = ptrs.iter().map(|&p| mem.read(p).unwrap()).collect();
         assert_eq!(mi, mf, "functional buffers differ for '{}'", kernel.name);
 
-        (ci, mi)
+        Equiv {
+            costs: ci,
+            mem: mi,
+            log: lb,
+            races,
+        }
     }
 
     fn trap_equiv(kernel: &Kernel, bufs_init: &[Vec<u32>], scalars: &[u32], block_dim: u32) {
@@ -1758,7 +1835,7 @@ mod tests {
         });
         let kernel = k.build().unwrap();
         let init: Vec<u32> = (0..100).collect();
-        let (_, m) = assert_equiv(&kernel, &[init], &[100], 4, 32);
+        let m = assert_equiv(&kernel, &[init], &[100], 4, 32).mem;
         assert_eq!(m[0][5], 5 * 3 + 7);
     }
 
@@ -1779,7 +1856,7 @@ mod tests {
             },
         );
         let kernel = k.build().unwrap();
-        let (costs, _) = assert_equiv(&kernel, &[vec![0; 32]], &[], 1, 32);
+        let costs = assert_equiv(&kernel, &[vec![0; 32]], &[], 1, 32).costs;
         assert!(costs[0].stats.divergent_branches >= 1);
     }
 
@@ -1979,5 +2056,104 @@ mod tests {
         let clone = kernel.clone();
         assert!(std::ptr::eq(clone.bytecode(), bc));
         assert_eq!(kernel, clone);
+    }
+
+    #[test]
+    fn read_only_csr_slots_leave_no_records() {
+        // Per-node degree from CSR offsets, pulled through the edge array:
+        // `offsets` and `edges` are never stored to, so their loads
+        // cannot race and are not logged; the stores to `out` are.
+        let mut k = KernelBuilder::new("csr_degree");
+        let offsets = k.buf_param();
+        let edges = k.buf_param();
+        let out = k.buf_param();
+        let n = k.scalar_param();
+        let tid = k.global_thread_id();
+        k.if_(tid.clone().lt(n), |k| {
+            let lo = k.load(offsets, tid.clone());
+            let hi = k.load(offsets, tid.clone().add(1u32));
+            let first = k.load(edges, lo.clone());
+            k.store(out, tid.clone(), hi.sub(lo).add(first));
+        });
+        let kernel = k.build().unwrap();
+        assert_eq!(kernel.bytecode().writes.bufs, vec![false, false, true]);
+        let offsets_init: Vec<u32> = (0..=64).map(|i| 2 * i).collect();
+        let e = assert_equiv(
+            &kernel,
+            &[offsets_init, vec![1; 130], vec![0; 64]],
+            &[64],
+            2,
+            32,
+        );
+        assert!(e
+            .log
+            .iter()
+            .all(|r| r.buf == 2 && r.kind == AccessKind::Write));
+        assert_eq!(e.log.len(), 64);
+        assert_eq!(
+            e.races,
+            RaceReport {
+                kernel: "csr_degree".into(),
+                ..RaceReport::default()
+            }
+        );
+    }
+
+    #[test]
+    fn loads_of_an_atomically_updated_slot_are_kept() {
+        // The unordered-relaxation pattern: every thread reads dist[0] and
+        // atomicMin-s it. The loads stay in the log, so the benign
+        // read-vs-atomic race is still found.
+        let mut k = KernelBuilder::new("relax");
+        let dist = k.buf_param();
+        let tid = k.global_thread_id();
+        let d = k.load(dist, 0u32);
+        k.atomic_min(dist, 0u32, d.min(tid));
+        let kernel = k.build().unwrap();
+        let e = assert_equiv(&kernel, &[vec![u32::MAX]], &[], 2, 32);
+        assert_eq!(
+            e.log.iter().filter(|r| r.kind == AccessKind::Read).count(),
+            64
+        );
+        assert!(e.races.is_clean());
+        assert_eq!(e.races.benign.len(), 1);
+        assert_eq!(e.races.benign[0].class, RaceClass::ReadVsAtomic);
+        assert_eq!(e.races.benign[0].buffer, "b0");
+    }
+
+    #[test]
+    fn shared_loads_are_dropped_only_without_a_shared_store() {
+        // Loads of never-stored shared memory (all zeros) cannot race.
+        let mut k = KernelBuilder::new("smem_ro");
+        let buf = k.buf_param();
+        k.shared_alloc(32);
+        let tid = k.thread_idx();
+        let v = k.shared_load(tid.clone());
+        k.store(buf, tid.clone(), v);
+        let kernel = k.build().unwrap();
+        assert!(!kernel.bytecode().writes.shared);
+        let e = assert_equiv(&kernel, &[vec![7; 32]], &[], 1, 32);
+        assert!(e.log.iter().all(|r| r.buf != SHARED_SLOT));
+
+        // With a shared store, both the stores and the loads are logged.
+        let mut k = KernelBuilder::new("smem_rw");
+        let buf = k.buf_param();
+        k.shared_alloc(64);
+        let tid = k.thread_idx();
+        k.shared_store(tid.clone(), tid.clone().mul(2u32));
+        k.sync_threads();
+        let v = k.shared_load(Expr::from(63u32).sub(tid.clone()));
+        k.store(buf, tid.clone(), v);
+        let kernel = k.build().unwrap();
+        assert!(kernel.bytecode().writes.shared);
+        let e = assert_equiv(&kernel, &[vec![0; 64]], &[], 1, 64);
+        let shared = |kind| {
+            e.log
+                .iter()
+                .filter(|r| r.buf == SHARED_SLOT && r.kind == kind)
+                .count()
+        };
+        assert_eq!(shared(AccessKind::Write), 64);
+        assert_eq!(shared(AccessKind::Read), 64);
     }
 }

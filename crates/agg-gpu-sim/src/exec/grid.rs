@@ -6,7 +6,7 @@ use crate::error::SimError;
 use crate::exec::bytecode::{self, BcScratch};
 use crate::ir::builder::Kernel;
 use crate::mem::global::{Buffer, DevicePtr, GlobalMemory};
-use crate::mem::race::{analyze, AccessRecord};
+use crate::mem::race::{analyze, RaceLog};
 use crate::timing::cost::BlockCost;
 use crate::timing::occupancy::Occupancy;
 use crate::timing::report::{finalize_launch, KernelStats, LaunchReport};
@@ -139,17 +139,17 @@ pub(crate) fn validate_launch(
 
 /// Runs every block of the launch through `exec`, in block order on the
 /// calling thread, and collects per-block costs. One `S` scratch serves
-/// every block; under race detection (`race_log` is `Some`) every access
-/// is logged into it.
+/// every block; under race detection (`race_log` is `Some`) the engine
+/// logs its accesses into it.
 fn run_blocks<S, F>(
     g: &GridCtx<'_>,
     grid: Grid,
-    race_log: &mut Option<Vec<AccessRecord>>,
+    race_log: &mut Option<RaceLog>,
     exec: F,
 ) -> Result<Vec<BlockCost>, SimError>
 where
     S: Default,
-    F: Fn(&GridCtx<'_>, u32, &mut S, Option<&mut Vec<AccessRecord>>) -> Result<BlockCost, SimError>,
+    F: Fn(&GridCtx<'_>, u32, &mut S, Option<&mut RaceLog>) -> Result<BlockCost, SimError>,
 {
     let mut scratch = S::default();
     let mut costs = Vec::with_capacity(grid.blocks as usize);
@@ -185,7 +185,9 @@ pub(crate) fn run_grid(
     };
     let timed = !matches!(cfg.fidelity, SimFidelity::Functional);
     let detect = matches!(cfg.fidelity, SimFidelity::TimedWithRaces);
-    let mut race_log: Option<Vec<AccessRecord>> = detect.then(Vec::new);
+    // Keyed by buffer: slots bound to one buffer share the lowest slot's
+    // key, so accesses through aliased slots meet in the analysis.
+    let mut race_log = detect.then(|| RaceLog::new(&args.bufs, &kernel.bytecode().writes));
     let costs: Vec<BlockCost> = match cfg.engine {
         ExecEngine::Bytecode => {
             let bc = kernel.bytecode();
@@ -234,9 +236,9 @@ pub(crate) fn run_grid(
             races: None,
         }
     };
-    if let Some(log) = race_log {
+    if let Some(mut log) = race_log {
         let labels: Vec<&str> = g.bufs.iter().map(|b| b.label.as_str()).collect();
-        report.races = Some(analyze(&kernel.name, &labels, &log));
+        report.races = Some(analyze(&kernel.name, &labels, &mut log.records));
     }
     Ok(report)
 }
@@ -245,6 +247,7 @@ pub(crate) fn run_grid(
 mod tests {
     use super::*;
     use crate::ir::builder::KernelBuilder;
+    use crate::mem::race::RaceClass;
 
     fn incr_kernel() -> Kernel {
         let mut k = KernelBuilder::new("incr");
@@ -362,5 +365,59 @@ mod tests {
         .unwrap();
         assert_eq!(mem.read(p).unwrap(), vec![0; 4]);
         assert_eq!(r.grid_blocks, 0);
+    }
+
+    #[test]
+    fn aliased_slots_race_as_one_buffer() {
+        // Loads through slot 0 (never stored to) race with stores of
+        // distinct values through slot 1 once one buffer is bound to both.
+        let mut k = KernelBuilder::new("alias");
+        let src = k.buf_param();
+        let dst = k.buf_param();
+        let v = k.load(src, 0u32);
+        let b = k.block_idx();
+        k.store(dst, 0u32, v.add(b));
+        let kernel = k.build().unwrap();
+        let cfg = DeviceConfig::tesla_c2070().with_fidelity(SimFidelity::TimedWithRaces);
+        let mut mem = GlobalMemory::new();
+        let x = mem.alloc("x", 4);
+        let y = mem.alloc("y", 4);
+
+        let aliased = run_grid(
+            &cfg,
+            &kernel,
+            Grid::new(2, 32),
+            &LaunchArgs::new().bufs([x, x]),
+            &mem,
+        )
+        .unwrap()
+        .races
+        .expect("detection enabled");
+        let read_vs_store = aliased
+            .harmful
+            .iter()
+            .find(|f| f.class == RaceClass::ReadVsStore)
+            .expect("aliased read-vs-store is reported");
+        assert_eq!(
+            (read_vs_store.buffer.as_str(), read_vs_store.word),
+            ("x", 0)
+        );
+
+        // Two distinct buffers: the loads cannot race and are not logged.
+        let distinct = run_grid(
+            &cfg,
+            &kernel,
+            Grid::new(2, 32),
+            &LaunchArgs::new().bufs([x, y]),
+            &mem,
+        )
+        .unwrap()
+        .races
+        .expect("detection enabled");
+        assert!(distinct
+            .harmful
+            .iter()
+            .all(|f| f.class == RaceClass::ConflictingStores));
+        assert!(distinct.harmful.iter().all(|f| f.buffer == "y"));
     }
 }

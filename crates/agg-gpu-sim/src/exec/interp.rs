@@ -18,7 +18,7 @@ use crate::exec::grid::GridCtx;
 use crate::ir::expr::{apply_binop, apply_unop, Expr, Special};
 use crate::ir::stmt::{AtomicOp, BarrierOp, Stmt};
 use crate::mem::coalesce::transactions_for;
-use crate::mem::race::{AccessKind, AccessRecord, SHARED_SLOT};
+use crate::mem::race::{AccessKind, AccessRecord, RaceLog, SHARED_SLOT};
 use crate::mem::shared::bank_conflict_replays;
 use crate::timing::cost::BlockCost;
 use std::sync::atomic::Ordering;
@@ -56,8 +56,10 @@ struct WarpCtx<'a, 'g> {
     epoch: &'a mut u32,
     /// This warp's dynamic statement counter.
     seq: &'a mut u32,
-    /// Access log when race detection is enabled.
-    log: Option<&'a mut Vec<AccessRecord>>,
+    /// Access log when race detection is enabled (every access: the
+    /// interpreter is the full-log oracle for the bytecode engine's
+    /// filtered log).
+    log: Option<&'a mut RaceLog>,
 }
 
 impl<'a, 'g> WarpCtx<'a, 'g> {
@@ -472,12 +474,12 @@ impl<'a, 'g> WarpCtx<'a, 'g> {
 }
 
 /// Executes one block of the launch, reusing `scratch` between calls.
-/// `log` collects per-word access records when race detection is on.
-pub fn run_block(
+/// `log` collects every per-word access record when race detection is on.
+pub(crate) fn run_block(
     g: &GridCtx<'_>,
     block_idx: u32,
     scratch: &mut Scratch,
-    mut log: Option<&mut Vec<AccessRecord>>,
+    mut log: Option<&mut RaceLog>,
 ) -> Result<BlockCost, SimError> {
     let kernel = g.kernel;
     let warps = g.cfg.warps_for(g.block_dim).max(1);

@@ -1,10 +1,28 @@
 //! Opt-in per-word data-race detection.
 //!
 //! When the device runs at [`crate::SimFidelity::TimedWithRaces`], the
-//! execution engine logs every global and shared memory access (word
-//! index, kind, stored value, and a position in the happens-before
-//! order) and the launch machinery classifies conflicting accesses
-//! before returning the [`crate::LaunchReport`].
+//! execution engine logs the global and shared memory accesses that can
+//! be part of a race (word index, kind, stored value, and a position in
+//! the happens-before order) into a `RaceLog`, and the launch machinery
+//! classifies conflicting accesses before returning the
+//! [`crate::LaunchReport`].
+//!
+//! # What is logged
+//!
+//! Every race class below needs a plain store or an atomic on the word.
+//! So the bytecode engine logs every store and atomic, but a plain load
+//! only when its buffer is stored to or atomically updated through some
+//! argument slot of the kernel (`Writes`, computed once when the kernel
+//! compiles), and a shared-memory load only when the kernel has a shared
+//! store. Loads from read-only arrays (a CSR graph's offsets and edges)
+//! can never race and are not logged. The interpreter oracle logs every
+//! access; both logs give equal [`RaceReport`]s.
+//!
+//! Records are keyed by buffer, not by argument slot: a launch may bind
+//! one buffer to several slots, and each slot maps to the lowest slot
+//! bound to the same buffer. A load through a read-only slot whose
+//! buffer is stored to through another slot is therefore still logged,
+//! and the two accesses meet under one key.
 //!
 //! # Happens-before model
 //!
@@ -49,6 +67,7 @@
 //! value commute.
 
 use crate::json::Json;
+use crate::mem::global::DevicePtr;
 use std::collections::BTreeMap;
 
 /// Buffer slot used to mark shared-memory accesses in the log.
@@ -84,6 +103,74 @@ pub struct AccessRecord {
     pub(crate) epoch: u32,
     /// Per-warp dynamic statement number at access time.
     pub(crate) seq: u32,
+}
+
+/// The memories a kernel can modify, computed once when it compiles: per
+/// buffer slot, whether the kernel stores to it or updates it atomically,
+/// and whether it stores to shared memory.
+#[derive(Debug, Clone)]
+pub(crate) struct Writes {
+    /// Indexed by buffer slot.
+    pub(crate) bufs: Vec<bool>,
+    /// The kernel has a shared-memory store.
+    pub(crate) shared: bool,
+}
+
+/// One launch's access log, with the per-slot facts that key and filter
+/// its records.
+#[derive(Debug)]
+pub(crate) struct RaceLog {
+    /// The logged accesses, keyed by canonical slot.
+    pub(crate) records: Vec<AccessRecord>,
+    /// Per argument slot: the lowest slot bound to the same buffer.
+    canon: Vec<u16>,
+    /// Per argument slot: a plain load through it can race, because some
+    /// slot bound to its buffer is stored to or atomically updated.
+    racy_loads: Vec<bool>,
+    /// A shared-memory load can race (the kernel stores to shared memory).
+    racy_shared_loads: bool,
+}
+
+impl RaceLog {
+    /// An empty log for a launch binding `bound` to the slots of a kernel
+    /// that modifies `writes`.
+    pub(crate) fn new(bound: &[DevicePtr], writes: &Writes) -> RaceLog {
+        let canon: Vec<u16> = bound
+            .iter()
+            .enumerate()
+            .map(|(s, p)| bound[..s].iter().position(|q| q == p).unwrap_or(s) as u16)
+            .collect();
+        let mut written = vec![false; bound.len()];
+        for (s, &c) in canon.iter().enumerate() {
+            written[c as usize] |= writes.bufs[s];
+        }
+        RaceLog {
+            records: Vec::new(),
+            racy_loads: canon.iter().map(|&c| written[c as usize]).collect(),
+            canon,
+            racy_shared_loads: writes.shared,
+        }
+    }
+
+    /// True when a plain load through `slot` ([`SHARED_SLOT`] for shared
+    /// memory) can be part of a race, so must be logged.
+    #[inline]
+    pub(crate) fn load_can_race(&self, slot: u16) -> bool {
+        if slot == SHARED_SLOT {
+            self.racy_shared_loads
+        } else {
+            self.racy_loads[slot as usize]
+        }
+    }
+
+    /// Appends `r`, keyed by the canonical slot of its buffer.
+    #[inline]
+    pub(crate) fn push(&mut self, mut r: AccessRecord) {
+        if r.buf != SHARED_SLOT {
+            r.buf = self.canon[r.buf as usize];
+        }
+        self.records.push(r);
+    }
 }
 
 /// Position of an access in the happens-before order.
@@ -381,15 +468,13 @@ fn loc_key(r: &AccessRecord) -> (u16, u32, u32) {
 /// `labels` are the buffer labels of the launch's argument list, indexed
 /// by buffer slot; shared memory reports as `"<shared>"`.
 ///
-/// Sorts a copy of the log by location so every per-word group is a
+/// Sorts the log in place by location so every per-word group is a
 /// contiguous slice, then classifies each group with reused scratch
-/// buffers. (The previous per-record map insertions — three `Vec`s
-/// allocated per touched word plus per-word value maps — dominated
-/// `TimedWithRaces` wall time; the classification booleans are
-/// order-independent, so the sorted scan reports bit-identical results.)
-pub(crate) fn analyze(kernel: &str, labels: &[&str], records: &[AccessRecord]) -> RaceReport {
-    let mut sorted: Vec<AccessRecord> = records.to_vec();
-    sorted.sort_unstable_by_key(loc_key);
+/// buffers. The classification booleans are order-independent, so the
+/// record order the log arrives in never changes the report.
+pub(crate) fn analyze(kernel: &str, labels: &[&str], records: &mut [AccessRecord]) -> RaceReport {
+    records.sort_unstable_by_key(loc_key);
+    let sorted: &[AccessRecord] = records;
 
     // (class, buf) -> (exemplar word, distinct word count)
     let mut found: BTreeMap<(RaceClass, u16), (u32, u64)> = BTreeMap::new();
@@ -534,11 +619,11 @@ mod tests {
     #[test]
     fn same_value_stores_are_benign() {
         // Two blocks both store 1 into flag[0] — the gen_bitmap pattern.
-        let log = [
+        let mut log = [
             rec(0, 0, AccessKind::Write, 1, 0, 0, 0, 3),
             rec(0, 0, AccessKind::Write, 1, 1, 0, 0, 3),
         ];
-        let r = analyze("k", &["flag"], &log);
+        let r = analyze("k", &["flag"], &mut log);
         assert!(r.is_clean());
         assert_eq!(r.benign.len(), 1);
         assert_eq!(r.benign[0].class, RaceClass::SameValueStore);
@@ -548,11 +633,11 @@ mod tests {
 
     #[test]
     fn conflicting_stores_are_harmful() {
-        let log = [
+        let mut log = [
             rec(0, 5, AccessKind::Write, 1, 0, 0, 0, 3),
             rec(0, 5, AccessKind::Write, 2, 1, 0, 0, 3),
         ];
-        let r = analyze("k", &["out"], &log);
+        let r = analyze("k", &["out"], &mut log);
         assert!(!r.is_clean());
         assert_eq!(r.harmful[0].class, RaceClass::ConflictingStores);
         assert_eq!(r.harmful[0].word, 5);
@@ -562,57 +647,57 @@ mod tests {
     fn read_vs_atomic_is_benign() {
         // The unordered-relaxation pattern: load(value[m]) in one block,
         // atomicMin(value[m]) in another.
-        let log = [
+        let mut log = [
             rec(0, 7, AccessKind::Read, 0, 0, 0, 0, 2),
             rec(0, 7, AccessKind::Atomic, 3, 1, 0, 0, 4),
         ];
-        let r = analyze("k", &["value"], &log);
+        let r = analyze("k", &["value"], &mut log);
         assert!(r.is_clean());
         assert_eq!(r.benign[0].class, RaceClass::ReadVsAtomic);
     }
 
     #[test]
     fn atomic_vs_store_is_harmful() {
-        let log = [
+        let mut log = [
             rec(0, 7, AccessKind::Atomic, 3, 0, 0, 0, 4),
             rec(0, 7, AccessKind::Write, 9, 1, 0, 0, 2),
         ];
-        let r = analyze("k", &["value"], &log);
+        let r = analyze("k", &["value"], &mut log);
         assert_eq!(r.harmful[0].class, RaceClass::AtomicVsStore);
     }
 
     #[test]
     fn read_vs_uniform_store_is_benign_but_mixed_values_are_not() {
-        let uniform = [
+        let mut uniform = [
             rec(0, 1, AccessKind::Read, 0, 0, 0, 0, 2),
             rec(0, 1, AccessKind::Write, 4, 1, 0, 0, 3),
             rec(0, 1, AccessKind::Write, 4, 2, 0, 0, 3),
         ];
-        let r = analyze("k", &["value"], &uniform);
+        let r = analyze("k", &["value"], &mut uniform);
         assert!(r.is_clean());
         assert!(r
             .benign
             .iter()
             .any(|f| f.class == RaceClass::ReadVsUniformStore));
 
-        let mixed = [
+        let mut mixed = [
             rec(0, 1, AccessKind::Read, 0, 0, 0, 0, 2),
             rec(0, 1, AccessKind::Write, 4, 1, 0, 0, 3),
             rec(0, 1, AccessKind::Write, 5, 2, 0, 0, 3),
         ];
-        let r = analyze("k", &["value"], &mixed);
+        let r = analyze("k", &["value"], &mut mixed);
         assert!(r.harmful.iter().any(|f| f.class == RaceClass::ReadVsStore));
     }
 
     #[test]
     fn program_order_within_a_warp_is_not_a_race() {
         // Same warp, same epoch, different statements: ordered.
-        let log = [
+        let mut log = [
             rec(0, 0, AccessKind::Read, 0, 0, 0, 0, 1),
             rec(0, 0, AccessKind::Write, 9, 0, 0, 0, 2),
             rec(0, 0, AccessKind::Write, 7, 0, 0, 0, 3),
         ];
-        let r = analyze("k", &["x"], &log);
+        let r = analyze("k", &["x"], &mut log);
         assert!(r.is_clean());
         assert!(r.benign.is_empty());
     }
@@ -620,11 +705,11 @@ mod tests {
     #[test]
     fn two_lanes_of_one_store_to_one_word_race() {
         // Same warp, same seq: two lanes of one instruction.
-        let log = [
+        let mut log = [
             rec(0, 0, AccessKind::Write, 1, 0, 0, 0, 2),
             rec(0, 0, AccessKind::Write, 2, 0, 0, 0, 2),
         ];
-        let r = analyze("k", &["x"], &log);
+        let r = analyze("k", &["x"], &mut log);
         assert_eq!(r.harmful[0].class, RaceClass::ConflictingStores);
     }
 
@@ -632,47 +717,47 @@ mod tests {
     fn barrier_epoch_orders_warps_in_a_block() {
         // Producer stores in epoch 0, consumer reads in epoch 1 after a
         // sync: ordered. Same epoch would race.
-        let ordered = [
+        let mut ordered = [
             rec(0, 0, AccessKind::Write, 5, 0, 0, 0, 1),
             rec(0, 0, AccessKind::Read, 0, 0, 1, 1, 9),
         ];
-        assert!(analyze("k", &["x"], &ordered).benign.is_empty());
-        let racy = [
+        assert!(analyze("k", &["x"], &mut ordered).benign.is_empty());
+        let mut racy = [
             rec(0, 0, AccessKind::Write, 5, 0, 0, 0, 1),
             rec(0, 0, AccessKind::Read, 0, 0, 1, 0, 9),
         ];
-        assert!(!analyze("k", &["x"], &racy).benign.is_empty());
+        assert!(!analyze("k", &["x"], &mut racy).benign.is_empty());
     }
 
     #[test]
     fn shared_memory_is_scoped_per_block() {
         // The same shared word written (with different values) by two
         // blocks is NOT a race: each block has its own shared memory.
-        let log = [
+        let mut log = [
             rec(SHARED_SLOT, 0, AccessKind::Write, 1, 0, 0, 0, 2),
             rec(SHARED_SLOT, 0, AccessKind::Write, 2, 1, 0, 0, 2),
         ];
-        let r = analyze("k", &[], &log);
+        let r = analyze("k", &[], &mut log);
         assert!(r.is_clean());
         assert!(r.benign.is_empty());
 
         // Two warps of one block in the same epoch DO race.
-        let log = [
+        let mut log = [
             rec(SHARED_SLOT, 0, AccessKind::Write, 1, 0, 0, 0, 2),
             rec(SHARED_SLOT, 0, AccessKind::Write, 2, 0, 1, 0, 2),
         ];
-        let r = analyze("k", &[], &log);
+        let r = analyze("k", &[], &mut log);
         assert_eq!(r.harmful[0].class, RaceClass::ConflictingStores);
         assert_eq!(r.harmful[0].buffer, "<shared>");
     }
 
     #[test]
     fn atomics_never_race_with_atomics() {
-        let log = [
+        let mut log = [
             rec(0, 0, AccessKind::Atomic, 1, 0, 0, 0, 2),
             rec(0, 0, AccessKind::Atomic, 2, 1, 0, 0, 2),
         ];
-        let r = analyze("k", &["ctr"], &log);
+        let r = analyze("k", &["ctr"], &mut log);
         assert!(r.is_clean());
         assert!(r.benign.is_empty());
     }
@@ -684,7 +769,7 @@ mod tests {
             log.push(rec(0, w, AccessKind::Write, 1, 0, 0, 0, 2));
             log.push(rec(0, w, AccessKind::Write, 1, 1, 0, 0, 2));
         }
-        let r = analyze("k", &["update"], &log);
+        let r = analyze("k", &["update"], &mut log);
         assert_eq!(r.benign.len(), 1);
         assert_eq!(r.benign[0].words, 3);
         assert_eq!(r.benign[0].word, 1); // lowest exemplar
@@ -696,7 +781,7 @@ mod tests {
         let benign = analyze(
             "k",
             &["f"],
-            &[
+            &mut [
                 rec(0, 0, AccessKind::Write, 1, 0, 0, 0, 1),
                 rec(0, 0, AccessKind::Write, 1, 1, 0, 0, 1),
             ],
@@ -708,7 +793,7 @@ mod tests {
         let harmful = analyze(
             "k",
             &["f"],
-            &[
+            &mut [
                 rec(0, 0, AccessKind::Write, 1, 0, 0, 0, 1),
                 rec(0, 0, AccessKind::Write, 2, 1, 0, 0, 1),
             ],
@@ -729,7 +814,7 @@ mod tests {
         let r = analyze(
             "bfs",
             &["value"],
-            &[
+            &mut [
                 rec(0, 2, AccessKind::Read, 0, 0, 0, 0, 1),
                 rec(0, 2, AccessKind::Atomic, 9, 1, 0, 0, 1),
             ],
@@ -739,5 +824,24 @@ mod tests {
         assert!(s.contains("\"clean\":true"));
         assert!(s.contains("read-vs-atomic"));
         assert!(s.contains("\"harmful\":[]"));
+    }
+
+    #[test]
+    fn race_log_keys_aliased_slots_by_buffer() {
+        // Slots 0 and 2 share one buffer; only slot 2 is ever stored to.
+        let (a, b) = (DevicePtr(7), DevicePtr(9));
+        let writes = Writes {
+            bufs: vec![false, false, true],
+            shared: false,
+        };
+        let mut log = RaceLog::new(&[a, b, a], &writes);
+        assert!(log.load_can_race(0));
+        assert!(!log.load_can_race(1));
+        assert!(log.load_can_race(2));
+        assert!(!log.load_can_race(SHARED_SLOT));
+        log.push(rec(2, 4, AccessKind::Write, 1, 0, 0, 0, 1));
+        log.push(rec(SHARED_SLOT, 4, AccessKind::Write, 1, 0, 0, 0, 1));
+        assert_eq!(log.records[0].buf, 0);
+        assert_eq!(log.records[1].buf, SHARED_SLOT);
     }
 }
