@@ -191,6 +191,41 @@ fn sharded_rows(name: &str, g: &CsrGraph, rows: &mut Vec<String>) {
     }
 }
 
+/// A sequential batch of mixed queries on one session: pins the batch
+/// clock (device delta, makespan, merged profile) and every query's
+/// slice of it, in submission order.
+fn batch_rows(name: &str, g: &CsrGraph, rows: &mut Vec<String>) {
+    let queries = [
+        Query::pagerank(),
+        Query::Bfs { src: 0 },
+        Query::Sssp { src: 3 },
+        Query::Cc,
+        Query::Bfs { src: 7 },
+        Query::Sssp { src: 0 },
+    ];
+    let mut session = Session::new(g).unwrap();
+    let b = session.run_batch(&queries, &RunOptions::default()).unwrap();
+    let totals: Vec<String> = b
+        .queries
+        .iter()
+        .map(|q| format!("{:016x}", q.report.total_ns.to_bits()))
+        .collect();
+    let values: Vec<u32> = b
+        .queries
+        .iter()
+        .flat_map(|q| q.report.values.iter().copied())
+        .collect();
+    rows.push(format!(
+        "{name}/batch:sequential device={:016x} makespan={:016x} profile={:016x} \
+         totals={} values={:016x}",
+        b.device_ns.to_bits(),
+        b.makespan_ns.to_bits(),
+        b.profile.total_time_ns().to_bits(),
+        totals.join(","),
+        values_hash(&values),
+    ));
+}
+
 #[test]
 fn modeled_time_matches_the_golden_table() {
     let graphs = [
@@ -208,6 +243,9 @@ fn modeled_time_matches_the_golden_table() {
         single_device_rows(name, g, &mut rows);
         warm_rows(name, g, &mut rows);
         sharded_rows(name, g, &mut rows);
+    }
+    for (name, g) in &graphs {
+        batch_rows(name, g, &mut rows);
     }
     let actual: String = rows.iter().map(|r| format!("{r}\n")).collect();
     if actual != GOLDEN {
