@@ -4,7 +4,7 @@
 //! numbers of modeled time are what `repro batch` tabulates; this bench
 //! tracks the *host-side* cost of the three serving paths.
 
-use agg_core::{GpuGraph, Query, RunOptions, Session};
+use agg_core::{Query, RunOptions, Session};
 use agg_gpu_sim::DeviceConfig;
 use agg_graph::{Dataset, Scale};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -29,8 +29,8 @@ fn bench(c: &mut Criterion) {
     g.bench_function("one_by_one_fresh_graph", |b| {
         b.iter(|| {
             for q in &queries {
-                let mut gg = GpuGraph::new(&graph).expect("upload");
-                gg.run(*q, &opts).expect("single run");
+                let mut session = Session::new(&graph).expect("upload");
+                session.run(*q, &opts).expect("single run");
             }
         })
     });

@@ -102,8 +102,7 @@ use agg_bench::runner::{cpu_baseline_ns, gpu_run, speedup_table};
 use agg_bench::tables::{format_table, write_csv};
 use agg_bench::workloads::{load, load_all, DEFAULT_SEED};
 use agg_core::{
-    decision, AdaptiveConfig, Algo, CensusMode, GpuGraph, Query, RunOptions, Session, ShardedGraph,
-    Strategy,
+    decision, AdaptiveConfig, Algo, CensusMode, Query, RunOptions, Session, ShardedGraph, Strategy,
 };
 use agg_gpu_sim::prelude::*;
 use agg_gpu_sim::Json;
@@ -460,8 +459,8 @@ fn batch(cli: &Cli) {
         // Baseline: each query pays a fresh upload and allocation.
         let mut one_by_one_ns = 0.0;
         for q in &queries {
-            let mut gg = GpuGraph::new(&w.graph).expect("upload");
-            let r = gg.run(*q, &opts).expect("single run");
+            let mut session = Session::new(&w.graph).expect("upload");
+            let r = session.run(*q, &opts).expect("single run");
             one_by_one_ns += r.total_ns;
         }
         let mut seq = Session::new(&w.graph).expect("session");
@@ -662,14 +661,16 @@ fn simbench(cli: &Cli) {
             let dev_cfg = DeviceConfig::tesla_c2070()
                 .with_engine(engine)
                 .with_fidelity(fidelity);
-            let mut gg = GpuGraph::with_device(&w.graph, dev_cfg).expect("simbench device");
+            let mut session = Session::with_device(&w.graph, dev_cfg).expect("simbench device");
             for q in [
                 Query::Bfs { src: w.src },
                 Query::Sssp { src: w.src },
                 Query::Cc,
                 Query::pagerank(),
             ] {
-                let r = gg.run(q, &RunOptions::default()).expect("simbench run");
+                let r = session
+                    .run(q, &RunOptions::default())
+                    .expect("simbench run");
                 leg_values.push(r.values);
                 repro_runs += 1;
             }
@@ -823,8 +824,8 @@ fn shard(cli: &Cli) {
                 Algo::Bfs => Query::Bfs { src: w.src },
                 _ => Query::Sssp { src: w.src },
             };
-            let mut gg = GpuGraph::new(&w.graph).expect("single-device upload");
-            let single = gg.run(query, &opts).expect("single-device run");
+            let mut session = Session::new(&w.graph).expect("single-device upload");
+            let single = session.run(query, &opts).expect("single-device run");
             let mut base_ms = None;
             for &k in &counts {
                 let mut sg = ShardedGraph::with_config(
@@ -1877,8 +1878,8 @@ fn ablation_launch(cli: &Cli) {
     for overhead_us in [0.0f64, 1.0, 3.5, 7.0, 14.0, 20.0] {
         let mut cfg = DeviceConfig::tesla_c2070();
         cfg.launch_overhead_us = overhead_us;
-        let mut gg = GpuGraph::with_device(&w.graph, cfg).expect("device");
-        let r = gg
+        let mut session = Session::with_device(&w.graph, cfg).expect("device");
+        let r = session
             .run(Query::Bfs { src: w.src }, &RunOptions::default())
             .expect("bfs");
         rows.push(vec![
@@ -2174,17 +2175,17 @@ fn ablation_bottomup(cli: &Cli) {
     .collect();
     let mut rows = Vec::new();
     for w in load_all(cli.scale, cli.seed) {
-        let mut gg = GpuGraph::new(&w.graph).expect("upload");
-        let top_down = gg
+        let mut session = Session::new(&w.graph).expect("upload");
+        let top_down = session
             .run(Query::Bfs { src: w.src }, &RunOptions::default())
             .expect("top-down run");
-        gg.enable_bottom_up(&w.graph);
+        session.enable_bottom_up();
         let opts = RunOptions::builder()
             .strategy(Strategy::DirectionOptimized {
                 bottom_up_fraction: 0.05,
             })
             .build();
-        let dir_opt = gg
+        let dir_opt = session
             .run(Query::Bfs { src: w.src }, &opts)
             .expect("dir-opt run");
         assert_eq!(top_down.values, dir_opt.values, "{}", w.dataset.name());

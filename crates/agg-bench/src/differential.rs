@@ -23,7 +23,7 @@
 //! The `repro differential` subcommand and the workspace-level
 //! `tests/differential.rs` suite both drive [`fuzz`].
 
-use agg_core::{CoreError, GpuGraph, Query, RunOptions, Session, ShardedGraph, Strategy};
+use agg_core::{CoreError, Query, RunOptions, Session, ShardedGraph, Strategy};
 use agg_cpu::CpuCostModel;
 use agg_gpu_sim::{DeviceConfig, ExecEngine, Interconnect, Json, SimFidelity};
 use agg_graph::generators::{
@@ -435,13 +435,13 @@ fn gpu_values(
     engine: ExecEngine,
     race: Option<&mut FuzzReport>,
 ) -> Result<Vec<u32>, CoreError> {
-    let mut gg = GpuGraph::with_device(g, device_config(fidelity, engine))?;
+    let mut session = Session::with_device(g, device_config(fidelity, engine))?;
     if matches!(exec, Exec::BottomUp) {
-        gg.enable_bottom_up(g);
+        session.enable_bottom_up();
     }
-    let r = gg.run(alg.query(src), &exec.options())?;
+    let r = session.run(alg.query(src), &exec.options())?;
     if let Some(report) = race {
-        let s = gg.device().race_summary();
+        let s = session.device().race_summary();
         report.race_launches_checked += s.launches_checked;
         report.race_benign_words += s.benign_words;
         report.race_harmful_words += s.harmful_words;
@@ -868,9 +868,9 @@ mod tests {
                 let mut outcomes = Vec::new();
                 for engine in [ExecEngine::Interpreter, ExecEngine::Bytecode] {
                     let cfg = DeviceConfig::tesla_c2070().with_engine(engine);
-                    let mut gg = GpuGraph::with_device(&cg.graph, cfg).unwrap();
-                    let r = gg.run(query, &RunOptions::default()).unwrap();
-                    outcomes.push((r.values, gg.device().elapsed_ns()));
+                    let mut session = Session::with_device(&cg.graph, cfg).unwrap();
+                    let r = session.run(query, &RunOptions::default()).unwrap();
+                    outcomes.push((r.values, session.device().elapsed_ns()));
                 }
                 let (bc, interp) = (outcomes.pop().unwrap(), outcomes.pop().unwrap());
                 assert_eq!(

@@ -2,7 +2,7 @@
 //! tables of the paper's evaluation.
 
 use crate::workloads::Workload;
-use agg_core::{Algo, CoreError, GpuGraph, Query, RunOptions, RunReport};
+use agg_core::{Algo, CoreError, Query, RunOptions, RunReport, Session};
 use agg_cpu::{
     bfs as cpu_bfs, connected_components as cpu_cc, dijkstra as cpu_dijkstra,
     pagerank_delta as cpu_pagerank, CpuCostModel,
@@ -23,15 +23,15 @@ pub fn query_for(w: &Workload, algo: Algo) -> Query {
 /// Runs `algo` on `w` with a fixed static variant; returns the full
 /// report (modeled GPU time in `report.total_ns`).
 pub fn gpu_static_run(w: &Workload, algo: Algo, v: Variant) -> Result<RunReport, CoreError> {
-    let mut gg = GpuGraph::new(&w.graph)?;
-    gg.run(query_for(w, algo), &RunOptions::static_variant(v))
+    let mut session = Session::new(&w.graph)?;
+    session.run(query_for(w, algo), &RunOptions::static_variant(v))
 }
 
 /// Runs `algo` on `w` with explicit options (adaptive runs, tracing,
 /// tuning sweeps).
 pub fn gpu_run(w: &Workload, algo: Algo, options: &RunOptions) -> Result<RunReport, CoreError> {
-    let mut gg = GpuGraph::new(&w.graph)?;
-    gg.run(query_for(w, algo), options)
+    let mut session = Session::new(&w.graph)?;
+    session.run(query_for(w, algo), options)
 }
 
 /// Modeled serial CPU baseline time for `algo` on `w` (the denominator of

@@ -70,7 +70,7 @@ pub enum Strategy {
     /// the *bottom-up* step (unvisited nodes scan in-edges for a frontier
     /// parent, atomic-free, early-exit); smaller ones run the adaptive
     /// top-down variants. Requires the reverse graph
-    /// (`DeviceGraph::upload_reverse` / `GpuGraph::enable_bottom_up`).
+    /// (`DeviceGraph::upload_reverse` / [`crate::Session::enable_bottom_up`]).
     /// BFS only.
     DirectionOptimized {
         /// Working-set fraction of `n` above which the bottom-up step is
@@ -121,10 +121,10 @@ impl Default for PageRankConfig {
 
 /// A typed query against a resident graph: the algorithm plus its
 /// per-algorithm parameters. This is the unit of work of
-/// [`crate::session::Session`] batches and the single entrypoint
-/// `GpuGraph::run` — source nodes belong to the traversal queries and
-/// PageRank's damping/ε belong to [`Query::PageRank`], so [`RunOptions`]
-/// carries only algorithm-independent execution policy.
+/// [`crate::Session::run`] and [`crate::Session::run_batch`] — source
+/// nodes belong to the traversal queries and PageRank's damping/ε belong
+/// to [`Query::PageRank`], so [`RunOptions`] carries only
+/// algorithm-independent execution policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Query {
     /// Breadth-first search (levels) from `src`.
@@ -865,34 +865,6 @@ fn empty_report() -> RunReport {
     }
 }
 
-/// Per-run kernel statistics = cumulative-after minus cumulative-before.
-fn subtract_kernel_stats(
-    after: agg_gpu_sim::KernelStats,
-    before: agg_gpu_sim::KernelStats,
-) -> agg_gpu_sim::KernelStats {
-    use agg_gpu_sim::timing::CostStats;
-    let (a, b) = (after.totals, before.totals);
-    agg_gpu_sim::KernelStats {
-        issue_cycles: after.issue_cycles - before.issue_cycles,
-        stall_cycles: after.stall_cycles - before.stall_cycles,
-        totals: CostStats {
-            instructions: a.instructions - b.instructions,
-            active_lane_instructions: a.active_lane_instructions - b.active_lane_instructions,
-            loads: a.loads - b.loads,
-            stores: a.stores - b.stores,
-            mem_transactions: a.mem_transactions - b.mem_transactions,
-            mem_bytes: a.mem_bytes - b.mem_bytes,
-            atomics: a.atomics - b.atomics,
-            atomic_conflicts: a.atomic_conflicts - b.atomic_conflicts,
-            divergent_branches: a.divergent_branches - b.divergent_branches,
-            shared_accesses: a.shared_accesses - b.shared_accesses,
-            shared_replays: a.shared_replays - b.shared_replays,
-            syncs: a.syncs - b.syncs,
-            barriers: a.barriers - b.barriers,
-        },
-    }
-}
-
 /// Snapshot of the device's cumulative race-detector counters
 /// (launches checked, benign words, harmful words).
 fn race_counts(dev: &Device) -> (u64, u64, u64) {
@@ -907,19 +879,6 @@ fn record_race_deltas(metrics: &mut Metrics, dev: &Device, before: (u64, u64, u6
     metrics.race_launches_checked = launches - before.0;
     metrics.race_benign_words = benign - before.1;
     metrics.race_harmful_words = harmful - before.2;
-}
-
-/// Runs one typed query. `state` is reset for the query's source
-/// internally; the graph must already be uploaded as `dg`.
-pub fn run(
-    dev: &mut Device,
-    kernels: &GpuKernels,
-    dg: &DeviceGraph,
-    state: &AlgoState,
-    query: Query,
-    options: &RunOptions,
-) -> Result<RunReport, CoreError> {
-    drive(dev, kernels, dg, state, query, options, Seed::Cold)
 }
 
 /// How a run's state is seeded before the first iteration.
@@ -1108,15 +1067,14 @@ pub(crate) fn drive(
     if matches!(options.strategy, Strategy::DirectionOptimized { .. }) && dg.rrow.is_none() {
         return Err(CoreError::Unsupported {
             detail: "direction-optimized BFS needs the reverse graph; call \
-                     GpuGraph::enable_bottom_up (or DeviceGraph::upload_reverse) first"
+                     Session::enable_bottom_up (or DeviceGraph::upload_reverse) first"
                 .into(),
         });
     }
     if algo == Algo::PageRank && dg.rrow.is_none() {
         return Err(CoreError::Unsupported {
             detail: "PageRank's deterministic gather needs the reverse graph; call \
-                     DeviceGraph::upload_reverse first (GpuGraph and Session do this \
-                     automatically)"
+                     DeviceGraph::upload_reverse first (Session does this automatically)"
                 .into(),
         });
     }
@@ -1373,7 +1331,8 @@ pub(crate) fn drive(
     if options.include_graph_transfer {
         total_ns += transfer_ns(dev.config(), dg.bytes);
     }
-    let gpu_stats = subtract_kernel_stats(dev.cumulative_stats(), start_stats);
+    let mut gpu_stats = dev.cumulative_stats();
+    gpu_stats -= start_stats;
     let profile = dev.profile().since(&start_profile);
     Ok(RunReport {
         values,
@@ -1395,6 +1354,18 @@ pub(crate) fn drive(
 mod tests {
     use super::*;
     use agg_graph::{traversal, Dataset, GraphBuilder, Scale};
+
+    /// One cold run on an explicitly managed device.
+    fn run(
+        dev: &mut Device,
+        kernels: &GpuKernels,
+        dg: &DeviceGraph,
+        state: &AlgoState,
+        query: Query,
+        options: &RunOptions,
+    ) -> Result<RunReport, CoreError> {
+        drive(dev, kernels, dg, state, query, options, Seed::Cold)
+    }
 
     fn setup(g: &agg_graph::CsrGraph) -> (Device, GpuKernels, DeviceGraph, AlgoState) {
         let mut dev = Device::try_new(DeviceConfig::tesla_c2070()).unwrap();

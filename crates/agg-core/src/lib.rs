@@ -5,7 +5,7 @@
 //! Architecture (the paper's Figure 10):
 //!
 //! ```text
-//!      Graph API                 [api::GpuGraph]
+//!      Graph API                 [session::Session]
 //!  ────────────────────
 //!      Runtime
 //!        graph inspector         [engine — ws-size monitoring w/ sampling]
@@ -22,7 +22,6 @@
 //! same update vector by the `workset_gen` kernel that runs each iteration
 //! anyway.
 
-pub mod api;
 pub mod config;
 pub mod decision;
 pub mod engine;
@@ -30,12 +29,11 @@ pub mod metrics;
 pub mod session;
 pub mod shard;
 
-pub use api::GpuGraph;
 pub use config::{AdaptiveConfig, DegreeMode};
 pub use decision::{decide, Region};
 pub use engine::{
-    run, Algo, CensusMode, CoreError, IterationRecord, PageRankConfig, Query,
-    RunOptions, RunOptionsBuilder, RunReport, Strategy,
+    Algo, CensusMode, CoreError, IterationRecord, PageRankConfig, Query, RunOptions,
+    RunOptionsBuilder, RunReport, Strategy,
 };
 pub use metrics::Metrics;
 pub use session::{BatchReport, QueryReport, Session};

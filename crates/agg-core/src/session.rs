@@ -1,10 +1,12 @@
-//! The batched multi-query session layer: many typed queries against one
-//! resident graph, scheduled to amortize upload, state-reset, and
-//! inspector costs.
+//! The single-device graph handle (the Graph API layer of the paper's
+//! Figure 10): a graph resident on a simulated GPU, serving one query at
+//! a time or whole batches scheduled to amortize upload, state-reset,
+//! and inspector costs.
 //!
-//! A [`Session`] owns the device and the uploaded graph. Callers submit a
-//! batch of [`Query`] values and get back a [`BatchReport`] with one
-//! [`RunReport`] per query, in submission order. The scheduler:
+//! A [`Session`] owns the device and the uploaded graph. [`Session::run`]
+//! answers one typed [`Query`]; [`Session::run_batch`] takes many and
+//! returns a [`BatchReport`] with one [`RunReport`] per query, in
+//! submission order. The batch scheduler:
 //!
 //! 1. **validates the whole batch up front** — one malformed query fails
 //!    the batch before any device time is spent;
@@ -19,36 +21,98 @@
 //!
 //! Time accounting extends the single-run identity
 //! `setup + iterations + teardown == total` to batches:
-//! `Σ per-query device time == batch device total`, whether the batch
-//! runs on the main device or across workers. A session built with
+//! `Σ per-query device time == batch device total`. A session built with
 //! [`Session::parallel`] fans contiguous chunks of the scheduled order
-//! across host threads, one simulated device per worker; each worker's
-//! device clock partitions into its queries' slices, and the batch total
-//! is the sum over workers. Values, iteration and launch counts are
-//! bit-identical to sequential execution because every simulated device
-//! runs its blocks in order on one thread, so each run is deterministic.
+//! across host threads, one simulated device per worker (worker 0 is the
+//! main device); each worker's device clock partitions into its queries'
+//! slices, and the batch total is the sum over workers. Values, iteration
+//! and launch counts are bit-identical to sequential execution because
+//! every simulated device runs its blocks in order on one thread, so each
+//! run is deterministic.
+//!
+//! Every query — single, warm, or batched — takes the same guarded path:
+//! a panic inside it comes back as [`CoreError::WorkerPanic`] and leaves
+//! the session usable.
 
-use crate::engine::{
-    drive, run, validate_query, Algo, CoreError, Query, RunOptions, RunReport, Seed,
-};
+use crate::engine::{drive, validate_query, Algo, CoreError, Query, RunOptions, RunReport, Seed};
 use crate::metrics::Metrics;
 use agg_gpu_sim::json::Json;
 use agg_gpu_sim::{Device, DeviceConfig, ProfileReport};
 use agg_graph::CsrGraph;
 use agg_kernels::{DeviceGraph, GpuKernels, PoolStats, StatePool};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// One worker's private device context for parallel batch execution.
-/// Device pointers are device-specific, so each worker re-uploads the
-/// graph once (at creation, amortized across batches) and pools its own
-/// states.
+/// One device context: a simulated device, the graph uploaded to it, and
+/// its pooled states. Device pointers are device-specific, so each worker
+/// uploads the graph once (at creation, amortized across batches).
 struct Worker {
     dev: Device,
     dg: DeviceGraph,
     pool: StatePool,
 }
 
-/// A multi-query session against one resident graph (see the module
-/// docs for the scheduling and time-accounting contract).
+impl Worker {
+    fn new(cfg: DeviceConfig, g: &CsrGraph, reverse: bool) -> Result<Worker, CoreError> {
+        let mut dev = Device::try_new(cfg)?;
+        let mut dg = DeviceGraph::upload(&mut dev, g);
+        if reverse {
+            dg.upload_reverse(&mut dev, g);
+        }
+        let mut pool = StatePool::new(dg.n);
+        pool.warm(&mut dev, 1)?;
+        Ok(Worker { dev, dg, pool })
+    }
+
+    /// The one per-query path: validate, upload the transpose if the
+    /// query needs it, then acquire a pooled state, drive the query, and
+    /// release. A panic while driving fails only this query, as
+    /// [`CoreError::WorkerPanic`] tagged with `(worker, query_index)`;
+    /// the pool self-heals, since an unreleased state is dropped and the
+    /// next acquire allocates a fresh one.
+    fn query(
+        &mut self,
+        kernels: &GpuKernels,
+        graph: &CsrGraph,
+        (worker, query_index): (usize, usize),
+        query: Query,
+        options: &RunOptions,
+        seed: Seed<'_>,
+    ) -> Result<RunReport, CoreError> {
+        validate_query(query, options, self.dg.n, self.dg.weights.is_some())?;
+        if matches!(query, Query::PageRank { .. }) && matches!(seed, Seed::Cold) {
+            // PageRank's deterministic gather walks the transpose; upload
+            // it once on first use (no-op afterwards).
+            self.dg.upload_reverse(&mut self.dev, graph);
+        }
+        catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(test)]
+            tests::injected_panic_hook(&query);
+            let state = self.pool.acquire(&mut self.dev)?;
+            let result = drive(
+                &mut self.dev,
+                kernels,
+                &self.dg,
+                &state,
+                query,
+                options,
+                seed,
+            );
+            self.pool.release(state);
+            result
+        }))
+        .unwrap_or_else(|payload| {
+            Err(CoreError::WorkerPanic {
+                worker,
+                query_index,
+                detail: panic_message(payload),
+            })
+        })
+    }
+}
+
+/// A graph resident on the (simulated) GPU, ready for single queries and
+/// batches (see the module docs for the scheduling and time-accounting
+/// contract).
 ///
 /// ```
 /// use agg_core::{Query, RunOptions, Session};
@@ -56,6 +120,8 @@ struct Worker {
 ///
 /// let g = Dataset::Amazon.generate_weighted(Scale::Tiny, 42, 64);
 /// let mut session = Session::new(&g).unwrap();
+/// let bfs = session.run(Query::Bfs { src: 0 }, &RunOptions::default()).unwrap();
+/// assert_eq!(bfs.values.len(), g.node_count());
 /// let batch = session
 ///     .run_batch(
 ///         &[
@@ -71,17 +137,14 @@ struct Worker {
 /// assert!(batch.queries_per_sec() > 0.0);
 /// ```
 pub struct Session {
-    dev: Device,
     kernels: GpuKernels,
-    dg: DeviceGraph,
-    pool: StatePool,
     /// Kept for worker uploads (device pointers cannot be shared across
-    /// devices) and for `enable_bottom_up`.
+    /// devices) and for the lazily uploaded transpose.
     graph: CsrGraph,
-    /// Host threads a batch fans out across; 1 runs batches on the main
-    /// device.
-    worker_count: usize,
+    /// Worker 0 is the main device, which single runs use; batches fan
+    /// out across up to `worker_count` of them.
     workers: Vec<Worker>,
+    worker_count: usize,
     batches: u64,
     queries_run: u64,
 }
@@ -100,10 +163,10 @@ impl Session {
     }
 
     /// A session that fans independent batch queries across `workers`
-    /// host threads, one simulated device each. Results are identical to
-    /// sequential execution; worker devices are created lazily on the
-    /// first batch and reused afterwards. One worker runs batches on the
-    /// main device, like [`Session::with_device`].
+    /// host threads, one simulated device each, the main device being
+    /// the first. Results are identical to sequential execution; the
+    /// other worker devices are created lazily on the first batch that
+    /// needs them and reused afterwards.
     ///
     /// `workers` must be at least 1 — zero is rejected as
     /// [`CoreError::InvalidConfig`] rather than silently clamped,
@@ -122,53 +185,38 @@ impl Session {
     }
 
     fn build(g: &CsrGraph, cfg: DeviceConfig, worker_count: usize) -> Result<Session, CoreError> {
-        let mut dev = Device::try_new(cfg)?;
-        let kernels = GpuKernels::build();
-        let dg = DeviceGraph::upload(&mut dev, g);
-        let mut pool = StatePool::new(dg.n);
-        pool.warm(&mut dev, 1)?;
         Ok(Session {
-            dev,
-            kernels,
-            dg,
-            pool,
+            workers: vec![Worker::new(cfg, g, false)?],
+            kernels: GpuKernels::build(),
             graph: g.clone(),
             worker_count,
-            workers: Vec::new(),
             batches: 0,
             queries_run: 0,
         })
     }
 
     /// Uploads the reverse graph on every device this session owns,
-    /// enabling [`crate::Strategy::DirectionOptimized`] BFS.
+    /// enabling [`crate::Strategy::DirectionOptimized`] BFS. Charges the
+    /// extra transfer once per device.
     pub fn enable_bottom_up(&mut self) {
-        self.dg.upload_reverse(&mut self.dev, &self.graph);
         for w in &mut self.workers {
             w.dg.upload_reverse(&mut w.dev, &self.graph);
         }
     }
 
-    /// Runs one query on the session's main device using a pooled state.
+    /// Runs one typed query on the main device: the algorithm and its
+    /// parameters travel in [`Query`], execution policy in
+    /// [`RunOptions`].
     pub fn run(&mut self, query: Query, options: &RunOptions) -> Result<RunReport, CoreError> {
-        validate_query(query, options, self.dg.n, self.dg.weights.is_some())?;
-        if matches!(query, Query::PageRank { .. }) {
-            // PageRank's deterministic gather walks the transpose; upload
-            // it once on first use (no-op afterwards).
-            self.dg.upload_reverse(&mut self.dev, &self.graph);
-        }
-        let state = self.pool.acquire(&mut self.dev)?;
-        let result = run(
-            &mut self.dev,
+        self.queries_run += 1;
+        self.workers[0].query(
             &self.kernels,
-            &self.dg,
-            &state,
+            &self.graph,
+            (0, 0),
             query,
             options,
-        );
-        self.pool.release(state);
-        self.queries_run += 1;
-        result
+            Seed::Cold,
+        )
     }
 
     /// Replaces the session's resident graph with `g` (same device, fresh
@@ -179,20 +227,21 @@ impl Session {
     /// had its reverse uploaded (bottom-up / PageRank), the new one gets
     /// it too.
     pub fn reload_graph(&mut self, g: &CsrGraph) -> Result<(), CoreError> {
-        let had_reverse = self.dg.rrow.is_some();
-        self.dg = DeviceGraph::upload(&mut self.dev, g);
-        self.pool = StatePool::new(self.dg.n);
-        self.pool.warm(&mut self.dev, 1)?;
+        self.workers.truncate(1);
+        let main = &mut self.workers[0];
+        let had_reverse = main.dg.rrow.is_some();
+        main.dg = DeviceGraph::upload(&mut main.dev, g);
+        main.pool = StatePool::new(main.dg.n);
+        main.pool.warm(&mut main.dev, 1)?;
         self.graph = g.clone();
-        self.workers.clear();
         if had_reverse {
-            self.dg.upload_reverse(&mut self.dev, &self.graph);
+            main.dg.upload_reverse(&mut main.dev, &self.graph);
         }
         Ok(())
     }
 
-    /// Runs one query *warm* on the session's main device: instead of
-    /// resetting state for the query's source, the device starts from
+    /// Runs one query *warm* on the main device: instead of resetting
+    /// state for the query's source, the device starts from
     /// `warm_values` (the fixpoint of the pre-update graph, with any
     /// affecting deletions already ruled out by the caller) and seeds the
     /// working set by relaxing `added`, the update batch's net-inserted
@@ -211,22 +260,12 @@ impl Session {
         warm_values: &[u32],
         added: &[(u32, u32, u32)],
     ) -> Result<RunReport, CoreError> {
-        let state = self.pool.acquire(&mut self.dev)?;
-        let result = drive(
-            &mut self.dev,
-            &self.kernels,
-            &self.dg,
-            &state,
-            query,
-            options,
-            Seed::Warm {
-                values: warm_values,
-                added,
-            },
-        );
-        self.pool.release(state);
         self.queries_run += 1;
-        result
+        let seed = Seed::Warm {
+            values: warm_values,
+            added,
+        };
+        self.workers[0].query(&self.kernels, &self.graph, (0, 0), query, options, seed)
     }
 
     /// Runs a batch of queries and returns per-query reports in
@@ -234,43 +273,91 @@ impl Session {
     /// any query is invalid. The graph H2D transfer is never re-charged
     /// per query (it was paid when the session uploaded the graph), so
     /// `options.include_graph_transfer` is ignored inside batches.
+    ///
+    /// Contiguous chunks of the scheduled order (keeping same-algorithm
+    /// groups together) run one per worker; with one chunk the batch runs
+    /// on the calling thread. Each worker's device-clock delta partitions
+    /// into its queries' slices, and the batch device total is their sum.
     pub fn run_batch(
         &mut self,
         queries: &[Query],
         options: &RunOptions,
     ) -> Result<BatchReport, CoreError> {
+        let main = &self.workers[0].dg;
         for (i, q) in queries.iter().enumerate() {
-            validate_query(*q, options, self.dg.n, self.dg.weights.is_some())
+            validate_query(*q, options, main.n, main.weights.is_some())
                 .map_err(|e| at_query(i, e))?;
         }
         if queries.iter().any(|q| matches!(q, Query::PageRank { .. })) {
             // PageRank's gather needs the transpose on every device the
             // batch may touch. Uploading here (idempotent, like pool
             // warming) keeps the charge out of per-query time slices;
-            // lazily created workers inherit it via `ensure_workers`.
+            // lazily created workers inherit it.
             self.enable_bottom_up();
         }
         let mut opts = *options;
         opts.include_graph_transfer = false;
         let order = schedule(queries);
-        let outcome = if self.worker_count > 1 {
-            self.run_parallel(queries, &order, &opts)?
-        } else {
-            self.run_sequential(queries, &order, &opts)?
-        };
-        let (slots, device_ns, profile, workers, makespan_ns) = outcome;
+        let k = self.worker_count.min(order.len()).max(1);
+        while self.workers.len() < k {
+            let reverse = self.workers[0].dg.rrow.is_some();
+            let cfg = self.workers[0].dev.config().clone();
+            self.workers.push(Worker::new(cfg, &self.graph, reverse)?);
+        }
+        let chunks = contiguous_chunks(&order, k);
+        let (kernels, graph, opts) = (&self.kernels, &self.graph, &opts);
+        let ran = fan_out(&mut self.workers[..k], &vec![true; k], false, |widx, w| {
+            w.pool.warm(&mut w.dev, 1)?;
+            let start_ns = w.dev.elapsed_ns();
+            let start_profile = w.dev.profile().clone();
+            let mut out = Vec::with_capacity(chunks[widx].len());
+            for &i in &chunks[widx] {
+                let report = w
+                    .query(kernels, graph, (widx, i), queries[i], opts, Seed::Cold)
+                    .map_err(|e| at_query(i, e))?;
+                out.push(QueryReport {
+                    index: i,
+                    query: queries[i],
+                    worker: widx,
+                    device_ns: report.total_ns - report.host_ns,
+                    report,
+                });
+            }
+            let slice = w.dev.profile().since(&start_profile);
+            Ok((out, w.dev.elapsed_ns() - start_ns, slice))
+        })?;
+        let mut slots: Vec<Option<QueryReport>> = queries.iter().map(|_| None).collect();
+        let mut device_ns = 0.0;
+        let mut worker_ns = Vec::with_capacity(k);
+        let mut profile = ProfileReport::default();
+        for (reports, ns, slice) in ran.into_iter().flatten() {
+            device_ns += ns;
+            worker_ns.push(ns);
+            profile.merge(&slice);
+            for qr in reports {
+                let index = qr.index;
+                slots[index] = Some(qr);
+            }
+        }
         let queries: Vec<QueryReport> = slots
             .into_iter()
             .map(|s| s.expect("every scheduled query produced a report"))
             .collect();
+        // The critical path: the slowest worker's device delta plus its
+        // queries' host time.
+        let mut worker_host = vec![0.0; k];
+        for q in &queries {
+            worker_host[q.worker] += q.report.host_ns;
+        }
+        let makespan_ns = worker_ns
+            .iter()
+            .zip(&worker_host)
+            .map(|(d, h)| d + h)
+            .fold(0.0, f64::max);
         let host_ns: f64 = queries.iter().map(|q| q.report.host_ns).sum();
         let mut metrics = Metrics::default();
-        let mut pool = self.pool.stats();
         for q in &queries {
             metrics.absorb(&q.report.metrics);
-        }
-        for w in &self.workers {
-            pool.absorb(w.pool.stats());
         }
         self.batches += 1;
         self.queries_run += queries.len() as u64;
@@ -283,175 +370,19 @@ impl Session {
             makespan_ns,
             profile,
             metrics,
-            pool,
-            workers,
+            pool: self.pool_stats(),
+            workers: k,
         })
-    }
-
-    /// Sequential path: every query runs on the main device; the device
-    /// clock telescopes exactly into per-query slices.
-    #[allow(clippy::type_complexity)]
-    fn run_sequential(
-        &mut self,
-        queries: &[Query],
-        order: &[usize],
-        opts: &RunOptions,
-    ) -> Result<(Vec<Option<QueryReport>>, f64, ProfileReport, usize, f64), CoreError> {
-        self.pool.warm(&mut self.dev, 1)?;
-        let start_profile = self.dev.profile().clone();
-        let start_ns = self.dev.elapsed_ns();
-        let mut slots: Vec<Option<QueryReport>> = queries.iter().map(|_| None).collect();
-        for &i in order {
-            let state = self.pool.acquire(&mut self.dev)?;
-            let result = run(
-                &mut self.dev,
-                &self.kernels,
-                &self.dg,
-                &state,
-                queries[i],
-                opts,
-            );
-            self.pool.release(state);
-            let report = result.map_err(|e| at_query(i, e))?;
-            slots[i] = Some(QueryReport {
-                index: i,
-                query: queries[i],
-                worker: 0,
-                device_ns: report.total_ns - report.host_ns,
-                report,
-            });
-        }
-        let device_ns = self.dev.elapsed_ns() - start_ns;
-        let profile = self.dev.profile().since(&start_profile);
-        let host_ns: f64 = slots.iter().flatten().map(|q| q.report.host_ns).sum();
-        Ok((slots, device_ns, profile, 1, device_ns + host_ns))
-    }
-
-    /// Parallel path: contiguous chunks of the scheduled order (keeping
-    /// same-algorithm groups together) fan out across worker threads,
-    /// each with its own simulated device. The batch device total is the
-    /// sum of the workers' clock deltas; each worker's delta partitions
-    /// into its queries' slices.
-    #[allow(clippy::type_complexity)]
-    fn run_parallel(
-        &mut self,
-        queries: &[Query],
-        order: &[usize],
-        opts: &RunOptions,
-    ) -> Result<(Vec<Option<QueryReport>>, f64, ProfileReport, usize, f64), CoreError> {
-        let k = self.worker_count.min(order.len()).max(1);
-        self.ensure_workers(k)?;
-        let chunks = contiguous_chunks(order, k);
-        let kernels = &self.kernels;
-        let workers = &mut self.workers;
-        let results: Vec<Result<(Vec<QueryReport>, f64), CoreError>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = workers[..k]
-                    .iter_mut()
-                    .zip(&chunks)
-                    .enumerate()
-                    .map(|(widx, (w, chunk))| {
-                        scope.spawn(move || {
-                            let start_ns = w.dev.elapsed_ns();
-                            let mut out = Vec::with_capacity(chunk.len());
-                            for &i in chunk {
-                                // A panicking query must fail its batch as
-                                // a typed error, not unwind through the
-                                // scope and abort every sibling query (and,
-                                // in a long-lived service, the process).
-                                // The pool self-heals: an un-released state
-                                // is simply dropped and the next acquire
-                                // allocates a fresh one.
-                                let result = std::panic::catch_unwind(
-                                    std::panic::AssertUnwindSafe(|| {
-                                        #[cfg(test)]
-                                        tests::injected_panic_hook(&queries[i]);
-                                        let state = w.pool.acquire(&mut w.dev)?;
-                                        let result = run(
-                                            &mut w.dev, kernels, &w.dg, &state, queries[i], opts,
-                                        );
-                                        w.pool.release(state);
-                                        result
-                                    }),
-                                )
-                                .unwrap_or_else(|payload| {
-                                    Err(CoreError::WorkerPanic {
-                                        worker: widx,
-                                        query_index: i,
-                                        detail: panic_message(payload),
-                                    })
-                                });
-                                let report = result.map_err(|e| at_query(i, e))?;
-                                out.push(QueryReport {
-                                    index: i,
-                                    query: queries[i],
-                                    worker: widx,
-                                    device_ns: report.total_ns - report.host_ns,
-                                    report,
-                                });
-                            }
-                            Ok((out, w.dev.elapsed_ns() - start_ns))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .enumerate()
-                    .map(|(widx, h)| {
-                        // With the per-query catch above a worker thread
-                        // can only die on a panic outside the guarded
-                        // region (e.g. in the clock reads); surface even
-                        // that as the same typed error.
-                        h.join().unwrap_or_else(|payload| {
-                            Err(CoreError::WorkerPanic {
-                                worker: widx,
-                                query_index: usize::MAX,
-                                detail: panic_message(payload),
-                            })
-                        })
-                    })
-                    .collect()
-            });
-        let mut slots: Vec<Option<QueryReport>> = queries.iter().map(|_| None).collect();
-        let mut device_ns = 0.0;
-        let mut makespan_ns: f64 = 0.0;
-        let mut profile = ProfileReport::default();
-        for r in results {
-            let (reports, worker_ns) = r?;
-            device_ns += worker_ns;
-            let worker_host: f64 = reports.iter().map(|q| q.report.host_ns).sum();
-            makespan_ns = makespan_ns.max(worker_ns + worker_host);
-            for qr in reports {
-                profile.merge(&qr.report.profile);
-                let index = qr.index;
-                slots[index] = Some(qr);
-            }
-        }
-        Ok((slots, device_ns, profile, k, makespan_ns))
-    }
-
-    fn ensure_workers(&mut self, k: usize) -> Result<(), CoreError> {
-        while self.workers.len() < k {
-            let mut dev = Device::try_new(self.dev.config().clone())?;
-            let mut dg = DeviceGraph::upload(&mut dev, &self.graph);
-            if self.dg.rrow.is_some() {
-                dg.upload_reverse(&mut dev, &self.graph);
-            }
-            let mut pool = StatePool::new(dg.n);
-            pool.warm(&mut dev, 1)?;
-            self.workers.push(Worker { dev, dg, pool });
-        }
-        Ok(())
     }
 
     /// Node count of the resident graph.
     pub fn node_count(&self) -> usize {
-        self.dg.n as usize
+        self.graph.node_count()
     }
 
     /// Edge count of the resident graph.
     pub fn edge_count(&self) -> usize {
-        self.dg.m as usize
+        self.graph.edge_count()
     }
 
     /// Batches executed so far.
@@ -464,20 +395,69 @@ impl Session {
         self.queries_run
     }
 
-    /// Aggregated state-pool counters across the main device and every
-    /// worker.
+    /// Aggregated state-pool counters across every device.
     pub fn pool_stats(&self) -> PoolStats {
-        let mut stats = self.pool.stats();
+        let mut stats = PoolStats::default();
         for w in &self.workers {
             stats.absorb(w.pool.stats());
         }
         stats
     }
 
-    /// The main device (for configuration inspection).
+    /// The main device: its clock, per-kernel profile, and race summary
+    /// span every single run and every batch chunk it executed.
     pub fn device(&self) -> &Device {
-        &self.dev
+        &self.workers[0].dev
     }
+}
+
+/// Runs `f` once per item that `pick` selects and returns the results in
+/// item order (`None` for unselected items). Each item owns its own
+/// simulated device, so items run concurrently on one scoped thread each
+/// — or inline on the calling thread, spawning nothing, when `inline` is
+/// set or at most one item is selected. Inline runs stop at the first
+/// error; threaded runs finish every item and report the first error in
+/// item order. A panic on a thread resumes on the caller.
+pub(crate) fn fan_out<T, R, F>(
+    items: &mut [T],
+    pick: &[bool],
+    inline: bool,
+    f: F,
+) -> Result<Vec<Option<R>>, CoreError>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut T) -> Result<R, CoreError> + Sync,
+{
+    let picked = pick.iter().filter(|&&p| p).count();
+    if inline || picked <= 1 {
+        return items
+            .iter_mut()
+            .enumerate()
+            .map(|(i, item)| {
+                if pick[i] {
+                    f(i, item).map(Some)
+                } else {
+                    Ok(None)
+                }
+            })
+            .collect();
+    }
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = items
+            .iter_mut()
+            .enumerate()
+            .map(|(i, item)| pick[i].then(|| scope.spawn(move || f(i, item))))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .transpose()
+            })
+            .collect()
+    })
 }
 
 /// Extracts a human-readable message from a caught panic payload
@@ -670,13 +650,13 @@ mod tests {
     use crate::engine::PageRankConfig;
     use agg_graph::{traversal, Dataset, Scale};
 
-    /// A PageRank epsilon no real workload uses; parallel workers panic on
-    /// it (inside the per-query unwind guard), giving the worker-panic
+    /// A PageRank epsilon no real workload uses; every query path panics
+    /// on it (inside the per-query unwind guard), giving the worker-panic
     /// regression test a deterministic trigger without any shared mutable
     /// test state.
     pub(super) const PANIC_EPSILON: f32 = 1.122_334_4e-33;
 
-    /// Test-only injection point called by the parallel worker loop.
+    /// Test-only injection point called inside the per-query guard.
     pub(super) fn injected_panic_hook(query: &Query) {
         if let Query::PageRank { config } = query {
             if config.epsilon == PANIC_EPSILON {
@@ -712,8 +692,8 @@ mod tests {
         for (i, (q, qr)) in queries.iter().zip(&batch.queries).enumerate() {
             assert_eq!(qr.index, i);
             assert_eq!(qr.query, *q);
-            let mut gg = crate::GpuGraph::new(&g).unwrap();
-            let single = gg.run(*q, &RunOptions::default()).unwrap();
+            let mut fresh = Session::new(&g).unwrap();
+            let single = fresh.run(*q, &RunOptions::default()).unwrap();
             assert_eq!(qr.report.values, single.values, "query #{i} {q:?}");
             assert_eq!(qr.report.iterations, single.iterations, "query #{i}");
         }
@@ -883,16 +863,101 @@ mod tests {
     }
 
     #[test]
-    fn single_run_through_the_session_matches_gpugraph() {
-        let g = Dataset::Google.generate(Scale::Tiny, 87);
+    fn single_runs_match_the_oracles() {
+        let g = Dataset::Google.generate_weighted(Scale::Tiny, 31, 64);
         let mut session = Session::new(&g).unwrap();
-        let mut gg = crate::GpuGraph::new(&g).unwrap();
-        let opts = RunOptions::default();
-        let a = session.run(Query::Bfs { src: 2 }, &opts).unwrap();
-        let b = gg.run(Query::Bfs { src: 2 }, &opts).unwrap();
-        assert_eq!(a.values, b.values);
         assert_eq!(session.node_count(), g.node_count());
         assert_eq!(session.edge_count(), g.edge_count());
+        let opts = RunOptions::default();
+        for src in [0u32, 7, 100] {
+            let bfs = session.run(Query::Bfs { src }, &opts).unwrap();
+            assert_eq!(bfs.values, traversal::bfs_levels(&g, src), "src {src}");
+        }
+        let sssp = session.run(Query::Sssp { src: 0 }, &opts).unwrap();
+        assert_eq!(sssp.values, traversal::dijkstra(&g, 0));
+        let v = agg_kernels::Variant::parse("U_B_QU").unwrap();
+        let r = session
+            .run(Query::Bfs { src: 0 }, &RunOptions::static_variant(v))
+            .unwrap();
+        assert_eq!(r.values, traversal::bfs_levels(&g, 0));
+        assert_eq!(r.switches, 0);
+        assert_eq!(session.queries_run(), 5);
+        assert_eq!(
+            session.pool_stats().created,
+            1,
+            "single runs share one state"
+        );
+    }
+
+    #[test]
+    fn invalid_single_queries_come_back_as_errors() {
+        let g = Dataset::P2p.generate(Scale::Tiny, 36); // unweighted
+        let n = g.node_count() as u32;
+        let mut session = Session::new(&g).unwrap();
+        let opts = RunOptions::default();
+        assert!(matches!(
+            session.run(Query::Bfs { src: n }, &opts),
+            Err(CoreError::InvalidQuery { .. })
+        ));
+        assert!(matches!(
+            session.run(Query::Sssp { src: 0 }, &opts),
+            Err(CoreError::InvalidQuery { .. })
+        ));
+    }
+
+    #[test]
+    fn device_profile_accumulates_across_runs() {
+        let g = Dataset::P2p.generate(Scale::Tiny, 35);
+        let mut session = Session::new(&g).unwrap();
+        let opts = RunOptions::default();
+        let first = session.run(Query::Bfs { src: 0 }, &opts).unwrap();
+        let after_one = session.device().profile().total_launches();
+        assert_eq!(after_one, first.launches);
+        let second = session.run(Query::Bfs { src: 0 }, &opts).unwrap();
+        assert_eq!(
+            session.device().profile().total_launches(),
+            after_one + second.launches,
+            "device-level profile spans runs; per-run reports slice it"
+        );
+    }
+
+    /// The full engine-driven kernel suite — adaptive BFS/SSSP, CC,
+    /// PageRank, direction-optimized BFS — must be free of harmful data
+    /// races, and the per-run metrics must carry the detector's counters.
+    #[test]
+    fn engine_suite_is_race_free_under_detection() {
+        use agg_gpu_sim::SimFidelity;
+        let g = Dataset::Google.generate_weighted(Scale::Tiny, 40, 64);
+        let cfg = DeviceConfig::tesla_c2070().with_fidelity(SimFidelity::TimedWithRaces);
+        let mut session = Session::with_device(&g, cfg).unwrap();
+        session.enable_bottom_up();
+        let opts = RunOptions::default();
+        for q in [
+            Query::Bfs { src: 0 },
+            Query::Sssp { src: 0 },
+            Query::Cc,
+            Query::pagerank(),
+        ] {
+            let r = session.run(q, &opts).unwrap();
+            assert!(r.metrics.race_launches_checked > 0, "{q:?}: detector idle");
+            assert_eq!(
+                r.metrics.race_harmful_words,
+                0,
+                "{q:?}: harmful races {:?}",
+                session.device().race_summary().harmful
+            );
+        }
+        let do_opts = RunOptions::builder()
+            .strategy(crate::Strategy::DirectionOptimized {
+                bottom_up_fraction: 0.05,
+            })
+            .build();
+        let r = session.run(Query::Bfs { src: 0 }, &do_opts).unwrap();
+        assert!(r.metrics.race_launches_checked > 0);
+        assert_eq!(r.metrics.race_harmful_words, 0);
+        assert!(session.device().race_summary().is_clean());
+        let s = r.metrics.to_json().render();
+        assert!(s.contains("\"race_harmful_words\":0"), "{s}");
     }
 
     #[test]
@@ -964,43 +1029,55 @@ mod tests {
     #[test]
     fn worker_panic_surfaces_as_a_typed_error_not_a_process_abort() {
         let g = Dataset::Amazon.generate_weighted(Scale::Tiny, 93, 64);
-        let mut session = Session::parallel(&g, DeviceConfig::tesla_c2070(), 2).unwrap();
+        let poisoned = Query::PageRank {
+            config: PageRankConfig {
+                damping: 0.85,
+                epsilon: PANIC_EPSILON,
+            },
+        };
         let queries = vec![
             Query::Bfs { src: 0 },
             Query::Sssp { src: 1 },
-            Query::PageRank {
-                config: PageRankConfig {
-                    damping: 0.85,
-                    epsilon: PANIC_EPSILON,
-                },
-            },
+            poisoned,
             Query::Bfs { src: 2 },
         ];
-        let err = session
-            .run_batch(&queries, &RunOptions::default())
-            .expect_err("a panicking query must fail the batch, not the process");
-        match &err {
-            CoreError::WorkerPanic {
-                query_index,
-                detail,
-                ..
-            } => {
-                // The panicking query keeps its submission index through
-                // the scheduler's reordering.
-                assert_eq!(*query_index, 2, "{err}");
-                assert!(detail.contains("injected test panic"), "{err}");
+        // Sequential sessions (the serving path) and parallel ones share
+        // the guarded per-query path.
+        for mut session in [
+            Session::with_device(&g, DeviceConfig::tesla_c2070()).unwrap(),
+            Session::parallel(&g, DeviceConfig::tesla_c2070(), 2).unwrap(),
+        ] {
+            let err = session
+                .run_batch(&queries, &RunOptions::default())
+                .expect_err("a panicking query must fail the batch, not the process");
+            match &err {
+                CoreError::WorkerPanic {
+                    query_index,
+                    detail,
+                    ..
+                } => {
+                    // The panicking query keeps its submission index
+                    // through the scheduler's reordering.
+                    assert_eq!(*query_index, 2, "{err}");
+                    assert!(detail.contains("injected test panic"), "{err}");
+                }
+                other => panic!("expected WorkerPanic, got {other}"),
             }
-            other => panic!("expected WorkerPanic, got {other}"),
+            let single = session.run(poisoned, &RunOptions::default());
+            assert!(
+                matches!(single, Err(CoreError::WorkerPanic { .. })),
+                "{single:?}"
+            );
+            // The session survives: the same queries minus the poisoned
+            // one run to completion on the same workers.
+            let ok = session
+                .run_batch(
+                    &[Query::Bfs { src: 0 }, Query::Sssp { src: 1 }],
+                    &RunOptions::default(),
+                )
+                .expect("session stays usable after a contained panic");
+            assert_eq!(ok.queries[0].report.values, traversal::bfs_levels(&g, 0));
         }
-        // The session survives: the same queries minus the poisoned one
-        // run to completion on the same workers.
-        let ok = session
-            .run_batch(
-                &[Query::Bfs { src: 0 }, Query::Sssp { src: 1 }],
-                &RunOptions::default(),
-            )
-            .expect("session stays usable after a contained panic");
-        assert_eq!(ok.queries[0].report.values, traversal::bfs_levels(&g, 0));
     }
 
     #[test]
@@ -1019,6 +1096,46 @@ mod tests {
             assert_eq!(qps, 0.0, "makespan {bad} must yield 0.0, got {qps}");
             assert!(qps.is_finite());
         }
+    }
+
+    #[test]
+    fn fan_out_runs_inline_for_one_item_and_keeps_item_order() {
+        let caller = std::thread::current().id();
+        let mut items = [10u32, 20, 30];
+        let one = fan_out(&mut items, &[false, true, false], false, |i, x| {
+            *x += 1;
+            Ok((i, std::thread::current().id()))
+        })
+        .unwrap();
+        assert_eq!(one, vec![None, Some((1, caller)), None]);
+        let all = fan_out(&mut items, &[true; 3], false, |i, x| {
+            Ok((i, *x, std::thread::current().id() != caller))
+        })
+        .unwrap();
+        assert_eq!(
+            all,
+            vec![
+                Some((0, 10, true)),
+                Some((1, 21, true)),
+                Some((2, 30, true))
+            ]
+        );
+        let inline = fan_out(&mut items, &[true; 3], true, |_, _| {
+            Ok(std::thread::current().id() == caller)
+        })
+        .unwrap();
+        assert!(inline.into_iter().all(|on_caller| on_caller == Some(true)));
+        let err = fan_out(&mut items, &[true; 3], false, |i, _| {
+            if i == 0 {
+                Ok(())
+            } else {
+                Err(CoreError::InvalidQuery {
+                    detail: format!("item {i}"),
+                })
+            }
+        })
+        .expect_err("an item error fails the fan-out");
+        assert!(err.to_string().contains("item 1"), "{err}");
     }
 
     #[test]

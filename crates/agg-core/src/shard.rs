@@ -85,6 +85,7 @@
 use crate::config::AdaptiveConfig;
 use crate::decision::decide;
 use crate::engine::{iteration_cap, validate_query, Algo, CoreError, Query, RunOptions, Strategy};
+use crate::session::fan_out;
 use agg_gpu_sim::json::Json;
 use agg_gpu_sim::prelude::*;
 use agg_graph::{partition, CsrGraph, GraphError, Partition, PartitionStrategy, INF};
@@ -681,7 +682,7 @@ impl ShardedGraph {
                 // reduction already left each local candidate in the
                 // meta header; only dissenting shards pay a 4-byte
                 // write.
-                let gen = for_each_shard(shards, &active, sequential, |i, rt| {
+                let gen = fan_out(shards, &active, sequential, |i, rt| {
                     deliver_inbox(rt, kernels, algo, tt, &inbox_ref[i])?;
                     let v = variants_ref[i].expect("picked shards have a variant");
                     gen_split(rt, kernels, v, v.order == AlgoOrder::Ordered, tt)
@@ -719,7 +720,7 @@ impl ShardedGraph {
                 }
                 let pick2: Vec<bool> = plans.iter().map(Option::is_some).collect();
                 let plans_ref = &plans;
-                let mut w2 = for_each_shard(shards, &pick2, sequential, |i, rt| {
+                let mut w2 = fan_out(shards, &pick2, sequential, |i, rt| {
                     let p = plans_ref[i].expect("picked shards have a plan");
                     let emitted = if p.qb > 0 {
                         boundary_pass(rt, kernels, algo, tuning, p.variant, p.qb, tt, 0.0)?
@@ -755,7 +756,7 @@ impl ShardedGraph {
                     })
                     .collect()
             } else {
-                for_each_shard(shards, &active, sequential, |i, rt| {
+                fan_out(shards, &active, sequential, |i, rt| {
                     let v = variants_ref[i].expect("picked shards have a variant");
                     deliver_inbox(rt, kernels, algo, tt, &inbox_ref[i])?;
                     if algo == Algo::PageRank && !first_window {
@@ -996,46 +997,6 @@ fn max_delta(shards: &[ShardRt], marks: &[f64]) -> f64 {
 /// loop free of a long-lived `&mut`).
 fn self_owned(shards: &[ShardRt], s: usize) -> u32 {
     shards[s].owned
-}
-
-/// Runs `f` once per selected shard — on scoped worker threads by
-/// default (each shard owns its device, so the fan-out is safe and the
-/// join order deterministic), or inline when `sequential`. Returns
-/// per-shard results in shard order, `None` for unselected shards.
-fn for_each_shard<R, F>(
-    shards: &mut [ShardRt],
-    pick: &[bool],
-    sequential: bool,
-    f: F,
-) -> Result<Vec<Option<R>>, CoreError>
-where
-    R: Send,
-    F: Fn(usize, &mut ShardRt) -> Result<R, CoreError> + Sync,
-{
-    let k = shards.len();
-    if sequential {
-        let mut out = Vec::with_capacity(k);
-        for (i, rt) in shards.iter_mut().enumerate() {
-            out.push(if pick[i] { Some(f(i, rt)?) } else { None });
-        }
-        return Ok(out);
-    }
-    let mut slots: Vec<Option<Result<R, CoreError>>> = (0..k).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(k);
-        for (i, rt) in shards.iter_mut().enumerate() {
-            if !pick[i] {
-                continue;
-            }
-            let f = &f;
-            handles.push((i, scope.spawn(move || f(i, rt))));
-        }
-        for (i, h) in handles {
-            let r = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-            slots[i] = Some(r);
-        }
-    });
-    slots.into_iter().map(Option::transpose).collect()
 }
 
 /// The compute grid of a variant, mirroring the engine: thread mapping
@@ -1282,17 +1243,13 @@ fn deliver_pairs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::GpuGraph;
     use crate::engine::PageRankConfig;
+    use crate::session::Session;
     use agg_graph::{Dataset, GraphBuilder, Scale};
     use agg_kernels::Variant;
 
     fn single_device(g: &CsrGraph, query: Query, options: &RunOptions) -> Vec<u32> {
-        GpuGraph::new(g)
-            .unwrap()
-            .run(query, options)
-            .unwrap()
-            .values
+        Session::new(g).unwrap().run(query, options).unwrap().values
     }
 
     fn queries(weighted: bool) -> Vec<Query> {

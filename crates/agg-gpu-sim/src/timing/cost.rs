@@ -1,6 +1,6 @@
 //! Cost counters accumulated during warp execution.
 
-use std::ops::AddAssign;
+use std::ops::{AddAssign, SubAssign};
 
 /// Raw event counters for a unit of execution (warp, block, or kernel —
 /// they add associatively).
@@ -55,6 +55,26 @@ impl AddAssign for CostStats {
     }
 }
 
+/// The inverse of `+=`: a cumulative snapshot minus an earlier one is the
+/// activity in between.
+impl SubAssign for CostStats {
+    fn sub_assign(&mut self, o: CostStats) {
+        self.instructions -= o.instructions;
+        self.active_lane_instructions -= o.active_lane_instructions;
+        self.loads -= o.loads;
+        self.stores -= o.stores;
+        self.mem_transactions -= o.mem_transactions;
+        self.mem_bytes -= o.mem_bytes;
+        self.atomics -= o.atomics;
+        self.atomic_conflicts -= o.atomic_conflicts;
+        self.divergent_branches -= o.divergent_branches;
+        self.shared_accesses -= o.shared_accesses;
+        self.shared_replays -= o.shared_replays;
+        self.syncs -= o.syncs;
+        self.barriers -= o.barriers;
+    }
+}
+
 impl CostStats {
     /// Fraction of issued lane slots that carried an active lane
     /// (1.0 = divergence-free, fully occupied warps).
@@ -106,6 +126,28 @@ mod tests {
         assert_eq!(a.instructions, 8);
         assert_eq!(a.mem_bytes, 100);
         assert_eq!(a.atomics, 2);
+    }
+
+    #[test]
+    fn stats_subtract_undoes_add() {
+        let before = CostStats {
+            instructions: 5,
+            barriers: 1,
+            ..Default::default()
+        };
+        let mut after = before;
+        after += CostStats {
+            instructions: 3,
+            shared_replays: 4,
+            barriers: 2,
+            ..Default::default()
+        };
+        after -= before;
+        assert_eq!(after.instructions, 3);
+        assert_eq!(after.shared_replays, 4);
+        assert_eq!(after.barriers, 2);
+        after -= after;
+        assert_eq!(after, CostStats::default());
     }
 
     #[test]

@@ -27,6 +27,14 @@ impl std::ops::AddAssign for KernelStats {
     }
 }
 
+impl std::ops::SubAssign for KernelStats {
+    fn sub_assign(&mut self, o: KernelStats) {
+        self.totals -= o.totals;
+        self.issue_cycles -= o.issue_cycles;
+        self.stall_cycles -= o.stall_cycles;
+    }
+}
+
 /// The result of one kernel launch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaunchReport {
@@ -294,7 +302,7 @@ impl ProfileReport {
                 delta.overhead_ns -= b.overhead_ns;
                 delta.issue_cycles -= b.issue_cycles;
                 delta.stall_cycles -= b.stall_cycles;
-                delta.stats = subtract_stats(now.stats, b.stats);
+                delta.stats -= b.stats;
             }
             out.kernels.push(delta);
         }
@@ -330,24 +338,6 @@ impl ProfileReport {
     /// The whole report as a JSON array of per-kernel objects.
     pub fn to_json(&self) -> Json {
         Json::arr(self.kernels.iter().map(|p| p.to_json()))
-    }
-}
-
-fn subtract_stats(a: CostStats, b: CostStats) -> CostStats {
-    CostStats {
-        instructions: a.instructions - b.instructions,
-        active_lane_instructions: a.active_lane_instructions - b.active_lane_instructions,
-        loads: a.loads - b.loads,
-        stores: a.stores - b.stores,
-        mem_transactions: a.mem_transactions - b.mem_transactions,
-        mem_bytes: a.mem_bytes - b.mem_bytes,
-        atomics: a.atomics - b.atomics,
-        atomic_conflicts: a.atomic_conflicts - b.atomic_conflicts,
-        divergent_branches: a.divergent_branches - b.divergent_branches,
-        shared_accesses: a.shared_accesses - b.shared_accesses,
-        shared_replays: a.shared_replays - b.shared_replays,
-        syncs: a.syncs - b.syncs,
-        barriers: a.barriers - b.barriers,
     }
 }
 

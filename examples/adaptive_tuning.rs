@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         decision::render_decision_space(&AdaptiveConfig::default(), n)
     );
 
-    let mut gg = GpuGraph::new(&graph)?;
+    let mut session = Session::new(&graph)?;
 
     println!("T3 sweep (adaptive SSSP):");
     for pct in [1u32, 3, 6, 9, 13] {
@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..AdaptiveConfig::default()
         };
         let opts = RunOptions::builder().tuning(tuning).build();
-        let r = gg.run(Query::Sssp { src: 0 }, &opts)?;
+        let r = session.run(Query::Sssp { src: 0 }, &opts)?;
         println!(
             "  T3 = {pct:>2}% of n -> {:.3} ms, {} switches, {} iterations",
             r.total_ms(),
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .tuning(tuning)
             .census(CensusMode::Sampled)
             .build();
-        let r = gg.run(Query::Sssp { src: 0 }, &opts)?;
+        let r = session.run(Query::Sssp { src: 0 }, &opts)?;
         println!("  period {period:>2} -> {:.3} ms", r.total_ms());
     }
 
@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..AdaptiveConfig::default()
         };
         let opts = RunOptions::builder().tuning(tuning).build();
-        let r = gg.run(Query::Sssp { src: 0 }, &opts)?;
+        let r = session.run(Query::Sssp { src: 0 }, &opts)?;
         println!("  scan_queue_gen = {scan:<5} -> {:.3} ms", r.total_ms());
     }
     Ok(())

@@ -31,8 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         graph.edge_count()
     );
 
-    let mut gg = GpuGraph::new(&graph)?;
-    let run = gg.run(Query::Cc, &RunOptions::default())?;
+    let mut session = Session::new(&graph)?;
+    let run = session.run(Query::Cc, &RunOptions::default())?;
 
     // Component census from the label array.
     let mut sizes = std::collections::HashMap::new();
@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\nper-variant modeled times:");
     for v in Variant::UNORDERED {
-        let r = gg.run(Query::Cc, &RunOptions::static_variant(v))?;
+        let r = session.run(Query::Cc, &RunOptions::static_variant(v))?;
         println!(
             "  {}: {:.2} ms in {} iterations",
             v.name(),
@@ -80,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sampling_period: 1,
         ..AdaptiveConfig::default()
     };
-    let r = gg.run(
+    let r = session.run(
         Query::Cc,
         &RunOptions::builder().tuning(tuning).trace().build(),
     )?;

@@ -34,10 +34,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Single-device reference answers.
-    let mut gg = GpuGraph::new(&graph)?;
+    let mut session = Session::new(&graph)?;
     let opts = RunOptions::default();
-    let single_bfs = gg.run(Query::Bfs { src: 0 }, &opts)?;
-    let single_sssp = gg.run(Query::Sssp { src: 0 }, &opts)?;
+    let single_bfs = session.run(Query::Bfs { src: 0 }, &opts)?;
+    let single_sssp = session.run(Query::Sssp { src: 0 }, &opts)?;
 
     // Scale the same queries over 1/2/4/8 devices linked by PCIe. Each
     // shard runs its own adaptive runtime over its owned node range;

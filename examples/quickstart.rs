@@ -20,15 +20,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Upload to the simulated Tesla C2070 and run with the adaptive
     // runtime (per-iteration kernel selection).
-    let mut gg = GpuGraph::new(&graph)?;
-    let bfs = gg.run(Query::Bfs { src: 0 }, &RunOptions::default())?;
+    let mut session = Session::new(&graph)?;
+    let bfs = session.run(Query::Bfs { src: 0 }, &RunOptions::default())?;
     let reached = bfs.values.iter().filter(|&&l| l != INF).count();
     println!(
         "BFS:  reached {} nodes in {} iterations, {} kernel launches, {:.2} ms modeled GPU time, {} variant switches",
         reached, bfs.iterations, bfs.launches, bfs.total_ms(), bfs.switches
     );
 
-    let sssp = gg.run(Query::Sssp { src: 0 }, &RunOptions::default())?;
+    let sssp = session.run(Query::Sssp { src: 0 }, &RunOptions::default())?;
     let max_dist = sssp.values.iter().filter(|&&d| d != INF).max().unwrap();
     println!(
         "SSSP: max finite distance {} in {} iterations, {:.2} ms modeled GPU time",
@@ -47,9 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cpu.time_ns / bfs.total_ns
     );
 
-    // Serving many queries against one resident graph? Use a Session:
-    // the upload is paid once and device state is pooled across queries.
-    let mut session = Session::new(&graph)?;
+    // Many queries at once: batch them on the same session. The upload
+    // was paid once and device state is pooled across queries.
     let batch = session.run_batch(
         &[
             Query::Bfs { src: 0 },
@@ -60,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &RunOptions::default(),
     )?;
     println!(
-        "Session: {} queries in {:.2} ms modeled ({:.0} queries/s, {} pool hits)",
+        "Batch: {} queries in {:.2} ms modeled ({:.0} queries/s, {} pool hits)",
         batch.queries.len(),
         batch.total_ms(),
         batch.queries_per_sec(),

@@ -19,12 +19,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.nodes, stats.edges, stats.degree.avg, stats.degree.max
     );
 
-    let mut gg = GpuGraph::new(&graph)?;
+    let mut session = Session::new(&graph)?;
     let depot: u32 = 0;
 
     // Adaptive SSSP with a full trace so we can watch the decisions.
     let opts = RunOptions::builder().trace().build();
-    let run = gg.run(Query::Sssp { src: depot }, &opts)?;
+    let run = session.run(Query::Sssp { src: depot }, &opts)?;
 
     let reachable = run.values.iter().filter(|&&d| d != INF).count();
     println!(

@@ -25,12 +25,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         graph.out_degree(influencer)
     );
 
-    let mut gg = GpuGraph::new(&graph)?;
+    let mut session = Session::new(&graph)?;
     let opts = RunOptions::builder()
         .census(CensusMode::Every)
         .trace()
         .build();
-    let run = gg.run(Query::Bfs { src: influencer }, &opts)?;
+    let run = session.run(Query::Bfs { src: influencer }, &opts)?;
 
     // Degrees-of-separation histogram.
     let mut by_level = std::collections::BTreeMap::new();
@@ -63,8 +63,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Social frontiers explode after one hop — exactly the shape the
     // direction-optimizing (bottom-up) extension targets.
-    gg.enable_bottom_up(&graph);
-    let dir_opt = gg.run(
+    session.enable_bottom_up();
+    let dir_opt = session.run(
         Query::Bfs { src: influencer },
         &RunOptions::builder()
             .strategy(Strategy::DirectionOptimized {

@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         graph.edge_count() as f64 / graph.node_count() as f64
     );
 
-    let mut gg = GpuGraph::new(&graph)?;
+    let mut session = Session::new(&graph)?;
     // An exact census every iteration: ws_size is then always present, so
     // the est_ws column shows exactly how stale the decision maker's
     // input would have been under sampling.
@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .census(CensusMode::Every)
         .trace()
         .build();
-    let run = gg.run(Query::Sssp { src: 0 }, &opts)?;
+    let run = session.run(Query::Sssp { src: 0 }, &opts)?;
 
     // --- The per-iteration trace -------------------------------------
     println!("iter  variant  region            ws_exact  ws_est  iter_us  flags");

@@ -19,12 +19,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         GraphStats::compute(&graph).degree.avg
     );
 
-    let mut gg = GpuGraph::new(&graph)?;
+    let mut session = Session::new(&graph)?;
     let cfg = PageRankConfig {
         damping: 0.85,
         epsilon: 1e-5,
     };
-    let run = gg.run(Query::PageRank { config: cfg }, &RunOptions::default())?;
+    let run = session.run(Query::PageRank { config: cfg }, &RunOptions::default())?;
     let ranks = run.values_as_f32();
     println!(
         "GPU PageRank: {} iterations, {:.2} ms modeled, {} launches, {} variant switches",

@@ -187,8 +187,8 @@ fn main() {
         },
         other => usage_and_exit(&format!("unknown algorithm '{other}'")),
     };
-    let mut gg = GpuGraph::new(&graph).unwrap_or_else(|e| usage_and_exit(&e.to_string()));
-    let report = gg
+    let mut session = Session::new(&graph).unwrap_or_else(|e| usage_and_exit(&e.to_string()));
+    let report = session
         .run(query, &options)
         .unwrap_or_else(|e| usage_and_exit(&e.to_string()));
 

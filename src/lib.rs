@@ -11,12 +11,11 @@
 //! use agg::prelude::*;
 //!
 //! let graph = Dataset::Amazon.generate_weighted(Scale::Tiny, 42, 64);
-//! let mut gg = GpuGraph::new(&graph).unwrap();
-//! let report = gg.run(Query::Bfs { src: 0 }, &RunOptions::default()).unwrap();
+//! let mut session = Session::new(&graph).unwrap();
+//! let report = session.run(Query::Bfs { src: 0 }, &RunOptions::default()).unwrap();
 //! assert_eq!(report.values.len(), graph.node_count());
 //!
-//! // Many queries against one resident graph: use a Session.
-//! let mut session = Session::new(&graph).unwrap();
+//! // Many queries against the same resident graph: run them as a batch.
 //! let batch = session
 //!     .run_batch(
 //!         &[Query::Bfs { src: 0 }, Query::Sssp { src: 3 }, Query::Cc],
@@ -35,9 +34,9 @@ pub use agg_kernels as kernels;
 /// One-stop imports for examples and applications.
 pub mod prelude {
     pub use agg_core::{
-        AdaptiveConfig, Algo, BatchReport, CensusMode, GpuGraph, PageRankConfig, Query,
-        QueryReport, RunOptions, RunOptionsBuilder, RunReport, Session, ShardReport, ShardSlice,
-        ShardedGraph, Strategy,
+        AdaptiveConfig, Algo, BatchReport, CensusMode, PageRankConfig, Query, QueryReport,
+        RunOptions, RunOptionsBuilder, RunReport, Session, ShardReport, ShardSlice, ShardedGraph,
+        Strategy,
     };
     pub use agg_cpu::{bfs as cpu_bfs, dijkstra as cpu_dijkstra, CpuCostModel};
     pub use agg_gpu_sim::{Device, DeviceConfig, ExecEngine, Interconnect, SimFidelity};

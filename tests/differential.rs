@@ -89,23 +89,23 @@ fn bottom_up_bfs_matches_oracle_on_disconnected_graph() {
     assert!(expected[5] > 4 && expected[8] > 4, "sentinel expected");
 
     let cfg = DeviceConfig::tesla_c2070().with_fidelity(SimFidelity::TimedWithRaces);
-    let mut gg = GpuGraph::with_device(&g, cfg).unwrap();
-    gg.enable_bottom_up(&g);
+    let mut session = Session::with_device(&g, cfg).unwrap();
+    session.enable_bottom_up();
     let opts = RunOptions::builder()
         .strategy(Strategy::DirectionOptimized {
             bottom_up_fraction: 0.05,
         })
         .build();
-    let r = gg.run(Query::Bfs { src: 0 }, &opts).unwrap();
+    let r = session.run(Query::Bfs { src: 0 }, &opts).unwrap();
     assert_eq!(r.values, expected);
     assert!(
         r.metrics.bottom_up_iterations > 0,
         "threshold never triggered a bottom-up step"
     );
     assert!(
-        gg.device().race_summary().is_clean(),
+        session.device().race_summary().is_clean(),
         "harmful races in bottom-up BFS: {:?}",
-        gg.device().race_summary().harmful
+        session.device().race_summary().harmful
     );
 }
 

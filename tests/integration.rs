@@ -11,15 +11,15 @@ use std::io::Cursor;
 fn end_to_end_adaptive_on_every_dataset() {
     for d in Dataset::ALL {
         let g = d.generate_weighted(Scale::Tiny, 404, 64);
-        let mut gg = GpuGraph::new(&g).unwrap();
+        let mut session = Session::new(&g).unwrap();
 
-        let bfs = gg
+        let bfs = session
             .run(Query::Bfs { src: 0 }, &RunOptions::default())
             .unwrap();
         let cpu = cpu_bfs(&g, 0, &CpuCostModel::default());
         assert_eq!(bfs.values, cpu.result, "{} BFS", d.name());
 
-        let sssp = gg
+        let sssp = session
             .run(Query::Sssp { src: 0 }, &RunOptions::default())
             .unwrap();
         let cpu = cpu_dijkstra(&g, 0, &CpuCostModel::default());
@@ -37,13 +37,13 @@ fn end_to_end_adaptive_on_every_dataset() {
 #[test]
 fn every_static_variant_agrees_with_adaptive() {
     let g = Dataset::Google.generate_weighted(Scale::Tiny, 405, 64);
-    let mut gg = GpuGraph::new(&g).unwrap();
-    let reference = gg
+    let mut session = Session::new(&g).unwrap();
+    let reference = session
         .run(Query::Sssp { src: 0 }, &RunOptions::default())
         .unwrap()
         .values;
     for v in Variant::ALL {
-        let r = gg
+        let r = session
             .run(Query::Sssp { src: 0 }, &RunOptions::static_variant(v))
             .unwrap();
         assert_eq!(r.values, reference, "{}", v.name());
@@ -60,8 +60,8 @@ fn dimacs_round_trip_through_the_gpu() {
     assert_eq!(g.node_count(), g2.node_count());
     assert_eq!(g.edge_count(), g2.edge_count());
 
-    let mut gg = GpuGraph::new(&g2).unwrap();
-    let r = gg
+    let mut session = Session::new(&g2).unwrap();
+    let r = session
         .run(Query::Sssp { src: 0 }, &RunOptions::default())
         .unwrap();
     assert_eq!(r.values, traversal::dijkstra(&g, 0));
@@ -74,8 +74,8 @@ fn edge_list_round_trip_through_the_gpu() {
     write_edge_list(&mut buf, &g).unwrap();
     let g2 = read_edge_list(Cursor::new(buf)).unwrap();
 
-    let mut gg = GpuGraph::new(&g2).unwrap();
-    let r = gg
+    let mut session = Session::new(&g2).unwrap();
+    let r = session
         .run(Query::Bfs { src: 0 }, &RunOptions::default())
         .unwrap();
     assert_eq!(r.values, traversal::bfs_levels(&g, 0));
@@ -86,14 +86,14 @@ fn adaptive_is_never_worse_than_the_worst_static() {
     // A weak but robust performance property: the decision maker must not
     // pick a catastrophic configuration.
     let g = Dataset::Amazon.generate_weighted(Scale::Tiny, 408, 64);
-    let mut gg = GpuGraph::new(&g).unwrap();
-    let adaptive = gg
+    let mut session = Session::new(&g).unwrap();
+    let adaptive = session
         .run(Query::Sssp { src: 0 }, &RunOptions::default())
         .unwrap()
         .total_ns;
     let mut worst: f64 = 0.0;
     for v in Variant::UNORDERED {
-        let r = gg
+        let r = session
             .run(Query::Sssp { src: 0 }, &RunOptions::static_variant(v))
             .unwrap();
         worst = worst.max(r.total_ns);
@@ -107,9 +107,9 @@ fn adaptive_is_never_worse_than_the_worst_static() {
 #[test]
 fn run_reports_account_consistently() {
     let g = Dataset::Sns.generate(Scale::Tiny, 409);
-    let mut gg = GpuGraph::new(&g).unwrap();
+    let mut session = Session::new(&g).unwrap();
     let opts = RunOptions::builder().trace().build();
-    let r = gg.run(Query::Bfs { src: 0 }, &opts).unwrap();
+    let r = session.run(Query::Bfs { src: 0 }, &opts).unwrap();
     // prep + gen + compute = at least 3 launches per executed iteration,
     // plus the final empty-check iteration's prep + gen.
     assert!(r.launches >= 3 * r.iterations as u64 + 2);
@@ -125,14 +125,16 @@ fn run_reports_account_consistently() {
 #[test]
 fn device_clock_accumulates_across_runs() {
     let g = Dataset::P2p.generate(Scale::Tiny, 410);
-    let mut gg = GpuGraph::new(&g).unwrap();
-    let after_upload = gg.device_elapsed_ns();
-    gg.run(Query::Bfs { src: 0 }, &RunOptions::default())
+    let mut session = Session::new(&g).unwrap();
+    let after_upload = session.device().elapsed_ns();
+    session
+        .run(Query::Bfs { src: 0 }, &RunOptions::default())
         .unwrap();
-    let after_one = gg.device_elapsed_ns();
-    gg.run(Query::Bfs { src: 1 }, &RunOptions::default())
+    let after_one = session.device().elapsed_ns();
+    session
+        .run(Query::Bfs { src: 1 }, &RunOptions::default())
         .unwrap();
-    let after_two = gg.device_elapsed_ns();
+    let after_two = session.device().elapsed_ns();
     assert!(after_upload < after_one && after_one < after_two);
 }
 
@@ -140,9 +142,11 @@ fn device_clock_accumulates_across_runs() {
 fn sources_in_every_corner_of_the_graph() {
     let g = Dataset::CoRoad.generate(Scale::Tiny, 411);
     let n = g.node_count() as u32;
-    let mut gg = GpuGraph::new(&g).unwrap();
+    let mut session = Session::new(&g).unwrap();
     for src in [0, n / 2, n - 1] {
-        let r = gg.run(Query::Bfs { src }, &RunOptions::default()).unwrap();
+        let r = session
+            .run(Query::Bfs { src }, &RunOptions::default())
+            .unwrap();
         assert_eq!(r.values, traversal::bfs_levels(&g, src), "src {src}");
     }
 }
@@ -150,15 +154,15 @@ fn sources_in_every_corner_of_the_graph() {
 #[test]
 fn scan_queue_generation_gives_identical_results() {
     let g = Dataset::Google.generate_weighted(Scale::Tiny, 412, 64);
-    let mut gg = GpuGraph::new(&g).unwrap();
-    let base = gg
+    let mut session = Session::new(&g).unwrap();
+    let base = session
         .run(Query::Sssp { src: 0 }, &RunOptions::default())
         .unwrap();
     let tuning = agg::core::AdaptiveConfig {
         scan_queue_gen: true,
         ..Default::default()
     };
-    let scan = gg
+    let scan = session
         .run(
             Query::Sssp { src: 0 },
             &RunOptions::builder().tuning(tuning).build(),
@@ -170,8 +174,8 @@ fn scan_queue_generation_gives_identical_results() {
 #[test]
 fn pagerank_through_the_facade_matches_the_oracle() {
     let g = Dataset::Google.generate(Scale::Tiny, 413);
-    let mut gg = GpuGraph::new(&g).unwrap();
-    let run = gg
+    let mut session = Session::new(&g).unwrap();
+    let run = session
         .run(
             Query::PageRank {
                 config: PageRankConfig {
@@ -198,8 +202,8 @@ fn relabeled_graph_produces_permuted_results_faster_memory_traffic() {
     let relabeling = agg::graph::relabel::bfs_order(&g, 0);
     let h = agg::graph::relabel::apply(&g, &relabeling).unwrap();
 
-    let mut orig = GpuGraph::new(&g).unwrap();
-    let mut relab = GpuGraph::new(&h).unwrap();
+    let mut orig = Session::new(&g).unwrap();
+    let mut relab = Session::new(&h).unwrap();
     let opts = RunOptions::static_variant(Variant::parse("U_T_BM").unwrap());
     let a = orig.run(Query::Bfs { src: 0 }, &opts).unwrap();
     let b = relab
@@ -223,7 +227,7 @@ fn relabeled_graph_produces_permuted_results_faster_memory_traffic() {
 #[test]
 fn cc_through_the_facade() {
     let g = Dataset::CoRoad.generate(Scale::Tiny, 415);
-    let mut gg = GpuGraph::new(&g).unwrap();
-    let run = gg.run(Query::Cc, &RunOptions::default()).unwrap();
+    let mut session = Session::new(&g).unwrap();
+    let run = session.run(Query::Cc, &RunOptions::default()).unwrap();
     assert_eq!(run.values, traversal::min_labels(&g));
 }

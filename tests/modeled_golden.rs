@@ -10,8 +10,8 @@
 //! inspected with `diff`.
 
 use agg::prelude::{
-    AdaptiveConfig, CensusMode, CsrGraph, Dataset, GpuGraph, Query, RunOptions, RunReport, Scale,
-    Session, ShardedGraph, Strategy, Variant, WorkSet,
+    AdaptiveConfig, CensusMode, CsrGraph, Dataset, Query, RunOptions, RunReport, Scale, Session,
+    ShardedGraph, Strategy, Variant, WorkSet,
 };
 use agg_core::DegreeMode;
 use agg_dynamic::{DynamicGraph, UpdateBatch};
@@ -132,11 +132,11 @@ fn strategies(q: Query) -> Vec<(String, RunOptions)> {
 fn single_device_rows(name: &str, g: &CsrGraph, rows: &mut Vec<String>) {
     for q in queries() {
         for (label, opts) in strategies(q) {
-            let mut gg = GpuGraph::new(g).unwrap();
+            let mut session = Session::new(g).unwrap();
             if matches!(opts.strategy, Strategy::DirectionOptimized { .. }) {
-                gg.enable_bottom_up(g);
+                session.enable_bottom_up();
             }
-            let r = gg.run(q, &traced(opts)).unwrap();
+            let r = session.run(q, &traced(opts)).unwrap();
             rows.push(run_row(&format!("{name}/{}/{label}", q.name()), &r));
         }
     }

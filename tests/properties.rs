@@ -3,7 +3,7 @@
 //! decision function's totality.
 
 use agg::prelude::{
-    AlgoOrder, CsrGraph, GpuGraph, GraphBuilder, Query, RunOptions, Variant, WorkSet, INF,
+    AlgoOrder, CsrGraph, GraphBuilder, Query, RunOptions, Session, Variant, WorkSet, INF,
 };
 use agg_core::AdaptiveConfig;
 use agg_graph::io::{read_dimacs, read_edge_list, write_dimacs, write_edge_list};
@@ -27,9 +27,9 @@ proptest! {
         let src = seed % g.node_count() as u32;
         let expected = traversal::bfs_levels(&g, src);
         prop_assert!(traversal::is_bfs_levels(&g, src, &expected));
-        let mut gg = GpuGraph::new(&g).unwrap();
+        let mut session = Session::new(&g).unwrap();
         for v in Variant::ALL {
-            let r = gg.run(Query::Bfs { src }, &RunOptions::static_variant(v)).unwrap();
+            let r = session.run(Query::Bfs { src }, &RunOptions::static_variant(v)).unwrap();
             prop_assert_eq!(&r.values, &expected, "variant {}", v.name());
         }
     }
@@ -39,12 +39,12 @@ proptest! {
         let src = seed % g.node_count() as u32;
         let expected = traversal::dijkstra(&g, src);
         prop_assert!(traversal::is_sssp_fixpoint(&g, src, &expected));
-        let mut gg = GpuGraph::new(&g).unwrap();
-        let adaptive = gg.run(Query::Sssp { src }, &RunOptions::default()).unwrap();
+        let mut session = Session::new(&g).unwrap();
+        let adaptive = session.run(Query::Sssp { src }, &RunOptions::default()).unwrap();
         prop_assert_eq!(&adaptive.values, &expected);
         for name in ["O_B_QU", "U_T_BM"] {
             let v = Variant::parse(name).unwrap();
-            let r = gg.run(Query::Sssp { src }, &RunOptions::static_variant(v)).unwrap();
+            let r = session.run(Query::Sssp { src }, &RunOptions::static_variant(v)).unwrap();
             prop_assert_eq!(&r.values, &expected, "variant {}", name);
         }
     }
@@ -111,8 +111,8 @@ proptest! {
 
     #[test]
     fn run_report_times_are_positive_and_finite(g in arb_graph(25, 80)) {
-        let mut gg = GpuGraph::new(&g).unwrap();
-        let r = gg.run(Query::Bfs { src: 0 }, &RunOptions::default()).unwrap();
+        let mut session = Session::new(&g).unwrap();
+        let r = session.run(Query::Bfs { src: 0 }, &RunOptions::default()).unwrap();
         prop_assert!(r.total_ns.is_finite() && r.total_ns > 0.0);
         prop_assert!(r.launches > 0);
     }
@@ -138,12 +138,12 @@ proptest! {
                 let cfg = DeviceConfig::tesla_c2070()
                     .with_engine(engine)
                     .with_fidelity(fidelity);
-                let mut gg = GpuGraph::with_device(&g, cfg).unwrap();
+                let mut session = Session::with_device(&g, cfg).unwrap();
                 let mut values = Vec::new();
                 for q in [Query::Bfs { src }, Query::Sssp { src }, Query::Cc, Query::pagerank()] {
-                    values.push(gg.run(q, &RunOptions::default()).unwrap().values);
+                    values.push(session.run(q, &RunOptions::default()).unwrap().values);
                 }
-                let dev = gg.device();
+                let dev = session.device();
                 outcomes.push((
                     values,
                     dev.elapsed_ns(),
@@ -166,9 +166,9 @@ proptest! {
     #[test]
     fn telemetry_is_self_consistent(g in arb_graph(35, 120), seed in 0u32..1000) {
         let src = seed % g.node_count() as u32;
-        let mut gg = GpuGraph::new(&g).unwrap();
+        let mut session = Session::new(&g).unwrap();
         let opts = RunOptions::builder().trace().build();
-        let r = gg.run(Query::Bfs { src }, &opts).unwrap();
+        let r = session.run(Query::Bfs { src }, &opts).unwrap();
         // The trace has exactly one record per iteration, in order
         // (iteration numbers are 1-based).
         prop_assert_eq!(r.trace.len(), r.iterations as usize);
@@ -244,11 +244,11 @@ proptest! {
     #[test]
     fn cc_matches_the_naive_oracle_on_random_graphs(g in arb_graph(35, 120)) {
         let expected = traversal::min_labels(&g);
-        let mut gg = GpuGraph::new(&g).unwrap();
-        let adaptive = gg.run(Query::Cc, &RunOptions::default()).unwrap();
+        let mut session = Session::new(&g).unwrap();
+        let adaptive = session.run(Query::Cc, &RunOptions::default()).unwrap();
         prop_assert_eq!(&adaptive.values, &expected);
         for v in Variant::UNORDERED {
-            let r = gg.run(Query::Cc, &RunOptions::static_variant(v)).unwrap();
+            let r = session.run(Query::Cc, &RunOptions::static_variant(v)).unwrap();
             prop_assert_eq!(&r.values, &expected, "variant {}", v.name());
         }
     }
@@ -257,12 +257,12 @@ proptest! {
     fn virtual_warp_matches_bfs_oracle(g in arb_graph(35, 120), width_pow in 1u32..6) {
         let width = 1 << width_pow; // 2..32
         let expected = traversal::bfs_levels(&g, 0);
-        let mut gg = GpuGraph::new(&g).unwrap();
+        let mut session = Session::new(&g).unwrap();
         for ws in [WorkSet::Bitmap, WorkSet::Queue] {
             let opts = RunOptions::builder()
                 .strategy(agg::prelude::Strategy::VirtualWarp { width, workset: ws })
                 .build();
-            let r = gg.run(Query::Bfs { src: 0 }, &opts).unwrap();
+            let r = session.run(Query::Bfs { src: 0 }, &opts).unwrap();
             prop_assert_eq!(&r.values, &expected, "vw{} {:?}", width, ws);
         }
     }
@@ -273,18 +273,18 @@ proptest! {
         threshold in 0u32..200,
     ) {
         let expected = traversal::bfs_levels(&g, 0);
-        let mut gg = GpuGraph::new(&g).unwrap();
+        let mut session = Session::new(&g).unwrap();
         let opts = RunOptions::builder()
             .strategy(agg::prelude::Strategy::Hybrid { gpu_threshold: threshold })
             .build();
-        let r = gg.run(Query::Bfs { src: 0 }, &opts).unwrap();
+        let r = session.run(Query::Bfs { src: 0 }, &opts).unwrap();
         prop_assert_eq!(&r.values, &expected);
     }
 
     #[test]
     fn pagerank_mass_conservation_and_oracle_proximity(g in arb_graph(30, 100)) {
-        let mut gg = GpuGraph::new(&g).unwrap();
-        let r = gg.run(Query::pagerank(), &RunOptions::default()).unwrap();
+        let mut session = Session::new(&g).unwrap();
+        let r = session.run(Query::pagerank(), &RunOptions::default()).unwrap();
         let ranks = r.values_as_f32();
         let n = g.node_count() as f32;
         let total: f32 = ranks.iter().sum();
@@ -298,7 +298,7 @@ proptest! {
 
     #[test]
     fn shuffled_batches_match_one_by_one_runs(g in arb_graph(35, 120), seed in any::<u64>()) {
-        use agg::prelude::{DeviceConfig, Session};
+        use agg::prelude::DeviceConfig;
         let n = g.node_count() as u32;
         // A mixed batch with duplicate algorithms, shuffled so the
         // scheduler's same-algorithm grouping actually reorders it.
@@ -320,8 +320,8 @@ proptest! {
         // Oracle: every query on its own fresh upload.
         let mut expected = Vec::new();
         for q in &queries {
-            let mut gg = GpuGraph::new(&g).unwrap();
-            expected.push(gg.run(*q, &RunOptions::default()).unwrap());
+            let mut session = Session::new(&g).unwrap();
+            expected.push(session.run(*q, &RunOptions::default()).unwrap());
         }
         // Batched, on the main device and fanned across three workers.
         let mut seq = Session::new(&g).unwrap();
@@ -469,14 +469,14 @@ proptest! {
             Interconnect::pcie(),
         )
         .unwrap();
-        let mut gg = GpuGraph::new(&g).unwrap();
+        let mut session = Session::new(&g).unwrap();
         for query in [
             Query::Bfs { src },
             Query::Sssp { src },
             Query::Cc,
             Query::pagerank(),
         ] {
-            let expected = gg.run(query, &opts).unwrap();
+            let expected = session.run(query, &opts).unwrap();
             let r = sharded.run(query, &opts).unwrap();
             prop_assert_eq!(
                 &r.values, &expected.values,
