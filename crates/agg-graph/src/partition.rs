@@ -917,6 +917,91 @@ mod tests {
         assert_eq!(clustered.cut_edges, 1);
     }
 
+    /// Validates a copy of `p` after `corrupt` has damaged it.
+    fn validate_corrupted(
+        g: &CsrGraph,
+        p: &Partition,
+        corrupt: impl FnOnce(&mut Partition),
+    ) -> Result<(), GraphError> {
+        let mut bad = p.clone();
+        corrupt(&mut bad);
+        bad.validate(g)
+    }
+
+    /// `g` rebuilt from its raw arrays after `edit` changed them.
+    fn edited(
+        g: &CsrGraph,
+        edit: impl FnOnce(&mut Vec<u32>, &mut Vec<u32>, &mut Option<Vec<u32>>),
+    ) -> CsrGraph {
+        let (mut row, mut col, mut w) = (
+            g.row_offsets().to_vec(),
+            g.col_indices().to_vec(),
+            g.weight_slice().map(<[u32]>::to_vec),
+        );
+        edit(&mut row, &mut col, &mut w);
+        CsrGraph::from_raw(row, col, w).unwrap()
+    }
+
+    #[test]
+    fn validate_rejects_every_corruption() {
+        let g = diamond();
+        let p = partition(&g, 2, PartitionStrategy::Contiguous1D).unwrap();
+        p.validate(&g).unwrap();
+        assert!(p.shards[0].ghosts.len() >= 2);
+        let reject = |what: &str, corrupt: &dyn Fn(&mut Partition)| {
+            assert!(
+                matches!(
+                    validate_corrupted(&g, &p, corrupt),
+                    Err(GraphError::InvalidPartition { .. })
+                ),
+                "{what} was accepted"
+            );
+        };
+        reject("unsorted ghosts", &|p| p.shards[0].ghosts.swap(0, 1));
+        reject("an owned node in ghosts", &|p| {
+            let s = &mut p.shards[0];
+            s.ghosts[0] = s.start;
+        });
+        reject("a swapped reverse row", &|p| {
+            let s = &mut p.shards[0];
+            let owned = s.owned_count();
+            let row = s.reverse.row_offsets();
+            let v = (0..owned)
+                .find(|&v| {
+                    let r = &s.reverse.col_indices()[row[v] as usize..row[v + 1] as usize];
+                    r.len() >= 2 && r[0] != r[1]
+                })
+                .expect("a reverse row with two distinct in-neighbors");
+            let at = row[v] as usize;
+            s.reverse = edited(&s.reverse, |_, col, _| col.swap(at, at + 1));
+        });
+        reject("a dropped forward edge", &|p| {
+            let s = &mut p.shards[0];
+            s.local = edited(&s.local, |row, col, w| {
+                col.pop();
+                if let Some(w) = w {
+                    w.pop();
+                }
+                let m = col.len() as u32;
+                row.iter_mut().for_each(|r| *r = (*r).min(m));
+            });
+        });
+        reject("a changed weight", &|p| {
+            let s = &mut p.shards[1];
+            s.local = edited(&s.local, |_, _, w| w.as_mut().unwrap()[0] += 1);
+        });
+        reject("a wrong cut_edges", &|p| p.cut_edges += 1);
+        reject("a gap in the ranges", &|p| p.shards[1].start += 1);
+        let q = partition(&g, 2, PartitionStrategy::ClusteredContiguous).unwrap();
+        assert!(matches!(
+            validate_corrupted(&g, &q, |q| {
+                let r = q.relabeling.as_mut().unwrap();
+                r.perm[0] = r.perm[1];
+            }),
+            Err(GraphError::InvalidPartition { .. })
+        ));
+    }
+
     #[test]
     fn identity_strategies_record_no_relabeling() {
         let g = diamond();
