@@ -91,7 +91,6 @@ use agg_gpu_sim::prelude::*;
 use agg_graph::{partition, CsrGraph, GraphError, Partition, PartitionStrategy, INF};
 use agg_kernels::exchange::{META_COUNT, META_MIN, META_QB, META_QLEN, META_WORDS};
 use agg_kernels::{AlgoOrder, AlgoState, DeviceGraph, GpuKernels, Mapping, Variant, WorkSet};
-use std::collections::HashMap;
 
 fn part_err(e: GraphError) -> CoreError {
     CoreError::InvalidQuery {
@@ -129,10 +128,13 @@ struct ShardRt {
     out_cap: usize,
     /// Incoming pair staging: `2 * max(owned, ghosts, 1)`.
     in_pairs: DevicePtr,
-    /// For each boundary source lid: the `(dest shard, ghost lid there)`
-    /// slots its push value must reach (destinations of its cut
-    /// out-edges).
-    push_routes: HashMap<u32, Vec<(usize, u32)>>,
+    /// PageRank push routing, flat: owned lid `u`'s push value must reach
+    /// the `(dest shard, ghost lid there)` slots
+    /// `push_routes[route_offsets[u]..route_offsets[u + 1]]`, one per
+    /// destination shard of its cut out-edges (empty unless `u` is a
+    /// boundary source).
+    route_offsets: Vec<u32>,
+    push_routes: Vec<(usize, u32)>,
     owned: u32,
     ghosts: u32,
     ext: u32,
@@ -364,6 +366,7 @@ impl ShardedGraph {
         let part = partition(g, shards, strategy).map_err(part_err)?;
         let kernels = GpuKernels::build();
         let k = part.shard_count();
+        let local_ids: Vec<Vec<u32>> = part.shards.iter().map(|p| p.local_ids(part.n)).collect();
         let mut rts = Vec::with_capacity(k);
         for plan in &part.shards {
             let mut dev = Device::try_new(device.clone())?;
@@ -402,27 +405,27 @@ impl ShardedGraph {
             let in_cap = 2 * (owned.max(ghosts).max(1)) as usize;
             let out_pairs = dev.alloc("shard.out_pairs", out_cap);
             let in_pairs = dev.alloc("shard.in_pairs", in_cap);
-            // Push routing table: boundary source lid -> every (shard,
-            // ghost lid) slot that gathers its push value (one entry per
-            // destination shard of its cut out-edges).
-            let mut push_routes: HashMap<u32, Vec<(usize, u32)>> = HashMap::new();
+            // Push routing table: every owned lid -> the (shard, ghost
+            // lid) slots that gather its push value, one per destination
+            // shard of its cut out-edges, in first-appearance order.
             let row = plan.local.row_offsets();
             let col = plan.local.col_indices();
-            for &u in &plan.boundary_sources {
-                let mut dests: Vec<(usize, u32)> = Vec::new();
+            let mut route_offsets = Vec::with_capacity(owned as usize + 1);
+            route_offsets.push(0u32);
+            let mut push_routes: Vec<(usize, u32)> = Vec::new();
+            let mut routed_from = vec![u32::MAX; k];
+            for u in 0..owned {
+                let gu = plan.start + u;
                 for &v in &col[row[u as usize] as usize..row[u as usize + 1] as usize] {
                     if v >= owned {
-                        let v_gid = plan.ghosts[(v - owned) as usize];
-                        let d = part.owner_of(v_gid);
-                        let gl = part.shards[d]
-                            .to_local(plan.to_global(u))
-                            .expect("boundary source is a ghost of every shard it feeds");
-                        if !dests.contains(&(d, gl)) {
-                            dests.push((d, gl));
+                        let d = part.owner_of(plan.ghosts[(v - owned) as usize]);
+                        if routed_from[d] != u {
+                            routed_from[d] = u;
+                            push_routes.push((d, local_ids[d][gu as usize]));
                         }
                     }
                 }
-                push_routes.insert(u, dests);
+                route_offsets.push(push_routes.len() as u32);
             }
             rts.push(ShardRt {
                 dev,
@@ -435,6 +438,7 @@ impl ShardedGraph {
                 out_pairs,
                 out_cap,
                 in_pairs,
+                route_offsets,
                 push_routes,
                 owned,
                 ghosts,
@@ -834,9 +838,11 @@ impl ShardedGraph {
             for (s, o) in outs.iter().enumerate() {
                 let Some(o) = o else { continue };
                 if algo == Algo::PageRank {
+                    let (offsets, routes) = (&shards[s].route_offsets, &shards[s].push_routes);
                     for &(lid, push_bits) in &o.emitted {
-                        let routes = shards[s].push_routes.get(&lid);
-                        for &(d, gl) in routes.into_iter().flatten() {
+                        let lid = lid as usize;
+                        let routes = &routes[offsets[lid] as usize..offsets[lid + 1] as usize];
+                        for &(d, gl) in routes {
                             bytes[s][d] += 8;
                             pairs_sent[s] += 1;
                             inbox[d].push((gl, push_bits));

@@ -107,40 +107,32 @@ impl GraphBuilder {
                 requested: self.node_count as u64,
             });
         }
-        let mut edges = self.edges;
-        if self.dedup {
-            edges.sort_unstable();
-            edges.dedup_by(|later, earlier| {
-                // after sort, equal (src, dst) pairs are adjacent with the
-                // smallest weight first, so keeping `earlier` keeps the min.
-                later.0 == earlier.0 && later.1 == earlier.1
-            });
-        }
         let n = self.node_count;
         let mut degree = vec![0u32; n];
-        for &(src, _, _) in &edges {
+        for &(src, _, _) in &self.edges {
             degree[src as usize] += 1;
         }
         let mut offsets = vec![0u32; n + 1];
         for v in 0..n {
             offsets[v + 1] = offsets[v] + degree[v];
         }
-        let m = edges.len();
-        let mut cols = vec![0u32; m];
-        let mut weights = if self.weighted {
-            Some(vec![0u32; m])
-        } else {
-            None
-        };
+        // Stable counting sort by source: each row keeps insertion order.
+        // An edge is packed as `dst << 32 | weight`, so integer order is
+        // `(dst, weight)` order.
+        let mut row_edges = vec![0u64; self.edges.len()];
         let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        for (src, dst, w) in edges {
+        for (src, dst, w) in self.edges {
             let slot = cursor[src as usize] as usize;
             cursor[src as usize] += 1;
-            cols[slot] = dst;
-            if let Some(ws) = weights.as_mut() {
-                ws[slot] = w;
-            }
+            row_edges[slot] = u64::from(dst) << 32 | u64::from(w);
         }
+        if self.dedup {
+            dedup_rows(&mut offsets, &mut row_edges);
+        }
+        let cols = row_edges.iter().map(|&e| (e >> 32) as NodeId).collect();
+        let weights = self
+            .weighted
+            .then(|| row_edges.iter().map(|&e| e as u32).collect());
         CsrGraph::from_raw(offsets, cols, weights)
     }
 
@@ -171,6 +163,32 @@ impl GraphBuilder {
         }
         b.build()
     }
+}
+
+/// Sorts each CSR row of packed `dst << 32 | weight` edges and keeps the
+/// first edge per destination (the minimum weight), compacting
+/// `row_edges` in place and rewriting `offsets`. Rows are already grouped
+/// by source, and `(dst, weight)` is a total order, so this equals a
+/// global sort of the `(src, dst, weight)` tuples followed by a
+/// `(src, dst)` dedup.
+fn dedup_rows(offsets: &mut [u32], row_edges: &mut Vec<u64>) {
+    let mut kept = 0usize;
+    for v in 0..offsets.len() - 1 {
+        let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
+        offsets[v] = kept as u32;
+        row_edges[lo..hi].sort_unstable();
+        let row_start = kept;
+        for e in lo..hi {
+            if kept == row_start || row_edges[kept - 1] >> 32 != row_edges[e] >> 32 {
+                row_edges[kept] = row_edges[e];
+                kept += 1;
+            }
+        }
+    }
+    if let Some(last) = offsets.last_mut() {
+        *last = kept as u32;
+    }
+    row_edges.truncate(kept);
 }
 
 #[cfg(test)]

@@ -216,13 +216,18 @@ impl CsrGraph {
         let m = self.col_indices.len();
         let mut cols = vec![0u32; m];
         let mut weights = self.weights.as_ref().map(|_| vec![0u32; m]);
+        // Stable counting sort by destination: rows walked in order, so
+        // each reverse row lists its sources in (source, ordinal) order.
         let mut cursor = offsets[..n].to_vec();
-        for (src, dst, w) in self.edges() {
-            let slot = cursor[dst as usize] as usize;
-            cursor[dst as usize] += 1;
-            cols[slot] = src;
-            if let Some(ws) = weights.as_mut() {
-                ws[slot] = w;
+        for src in 0..n {
+            for e in self.row_offsets[src] as usize..self.row_offsets[src + 1] as usize {
+                let dst = self.col_indices[e] as usize;
+                let slot = cursor[dst] as usize;
+                cursor[dst] += 1;
+                cols[slot] = src as u32;
+                if let (Some(ws), Some(w)) = (weights.as_mut(), self.weights.as_ref()) {
+                    ws[slot] = w[e];
+                }
             }
         }
         CsrGraph {

@@ -22,7 +22,15 @@
 //! Local ids are dense: owned nodes map to `[0, owned)` by offset, ghosts
 //! to `[owned, owned + ghosts)` in ascending global order, so translation
 //! is offset arithmetic plus a binary search (see [`ShardPlan::to_local`] /
-//! [`ShardPlan::to_global`], round-trip checked by [`Partition::validate`]).
+//! [`ShardPlan::to_global`]; [`ShardPlan::local_ids`] is the same map as
+//! one dense array).
+//!
+//! Construction and [`Partition::validate`] are both `O(n + m)` (plus an
+//! `O(n)` ghost-numbering sweep per shard with cut edges): one stable
+//! counting sort by destination transposes every shard at once, each
+//! shard's owned edges are walked once with a reused dense global → local
+//! array that marks and then numbers its ghosts, and validation compares
+//! rows in place against the source graph and its [`CsrGraph::reverse`].
 //!
 //! Three strategies choose the range boundaries:
 //!
@@ -157,6 +165,17 @@ impl ShardPlan {
             .map(|i| self.owned_count() as u32 + i as u32)
     }
 
+    /// [`ShardPlan::to_local`] for every global node at once: a dense map
+    /// over `n` global ids, `u32::MAX` where a node is neither owned nor a
+    /// ghost here. Built in `O(n)`.
+    pub fn local_ids(&self, n: usize) -> Vec<u32> {
+        let mut ids = vec![u32::MAX; n];
+        for l in 0..self.ext_count() as u32 {
+            ids[self.to_global(l) as usize] = l;
+        }
+        ids
+    }
+
     /// Global id of local node `l` (owned or ghost).
     ///
     /// # Panics
@@ -261,12 +280,15 @@ impl Partition {
     }
 
     /// Re-derives every partition invariant from scratch against the
-    /// source graph: shard ranges tile `[0, n)`; every global edge appears
-    /// in exactly one shard (at its source, with its weight); local ids
-    /// round-trip through [`ShardPlan::to_local`]/[`ShardPlan::to_global`];
-    /// ghost tables are sorted, deduplicated, and disjoint from the owned
-    /// range; reverse rows cover exactly the in-edges of owned nodes, in
-    /// the **source graph's** canonical `(source, ordinal)` order. When a
+    /// source graph, in `O(n + m)`: shard ranges tile `[0, n)`; every
+    /// global edge appears in exactly one shard (at its source, with its
+    /// weight, in the global row order) and ghost rows are empty; ghost
+    /// tables are strictly sorted and disjoint from the owned range, which
+    /// makes [`ShardPlan::to_local`]/[`ShardPlan::to_global`] a round trip;
+    /// reverse rows cover exactly the in-edges of owned nodes, in the
+    /// **source graph's** canonical `(source, ordinal)` order. The reverse
+    /// oracle is one [`CsrGraph::reverse`] of the source graph, independent
+    /// of how [`partition`] builds the shard CSRs. When a
     /// [`Partition::relabeling`] is present it must be a bijection and
     /// every check compares through it.
     pub fn validate(&self, g: &CsrGraph) -> Result<(), GraphError> {
@@ -309,6 +331,7 @@ impl Partition {
         if next as usize != self.n {
             return fail(format!("shard ranges end at {next}, expected {}", self.n));
         }
+        let rev = g.reverse();
         let mut total_edges = 0usize;
         let mut total_cut = 0usize;
         for s in &self.shards {
@@ -319,69 +342,34 @@ impl Partition {
             if s.ghosts.iter().any(|&gh| s.owns(gh)) {
                 return fail(format!("shard {} ghost table contains owned node", s.shard));
             }
-            // Id round-trip, both directions.
-            for l in 0..s.ext_count() as u32 {
-                let gl = s.to_global(l);
-                if s.to_local(gl) != Some(l) {
-                    return fail(format!(
-                        "shard {}: local {l} -> global {gl} -> {:?}",
-                        s.shard,
-                        s.to_local(gl)
-                    ));
-                }
+            let ext = s.ext_count();
+            if s.local.node_count() != ext || s.reverse.node_count() != ext {
+                return fail(format!(
+                    "shard {}: local CSRs span {}/{} nodes, expected {ext}",
+                    s.shard,
+                    s.local.node_count(),
+                    s.reverse.node_count()
+                ));
             }
             // Every local forward edge is a global edge owned by this
             // shard, in the global CSR's row order (rows walked in
             // partition-space order, columns translated inward).
-            let mut want: Vec<(NodeId, NodeId, u32)> = Vec::with_capacity(s.local.edge_count());
-            for v in s.start..s.end {
-                let old = self.to_original_id(v);
-                want.extend(
-                    g.weighted_neighbors(old)
-                        .map(|(d, w)| (v, self.to_partition_id(d), w)),
-                );
-            }
-            let got: Vec<(NodeId, NodeId, u32)> = s
-                .local
-                .edges()
-                .map(|(ls, ld, w)| (s.to_global(ls), s.to_global(ld), w))
-                .collect();
-            if got != want {
+            if !self.rows_match(s, &s.local, g, true) {
                 return fail(format!(
                     "shard {}: local edges disagree with the owned global slice",
                     s.shard
                 ));
             }
-            total_edges += got.len();
+            total_edges += s.local.edge_count();
             total_cut += s.cut_out_edges;
-            // Reverse rows: exactly the in-edges of owned nodes, in the
-            // source graph's canonical (source, ordinal) order — under a
-            // relabeling this is NOT the relabeled graph's row order, so
-            // walk the original edge stream and translate.
-            let mut want_in: Vec<Vec<u32>> = vec![Vec::new(); s.ext_count()];
-            for (src, dst, _) in g.edges() {
-                let (src, dst) = (self.to_partition_id(src), self.to_partition_id(dst));
-                if s.owns(dst) {
-                    let Some(ls) = s.to_local(src) else {
-                        return fail(format!(
-                            "shard {}: in-edge source {src} missing from ghost table",
-                            s.shard
-                        ));
-                    };
-                    want_in[(dst - s.start) as usize].push(ls);
-                }
-            }
-            if s.reverse.node_count() != s.ext_count() {
-                return fail(format!("shard {}: reverse CSR node count", s.shard));
-            }
-            for v in 0..s.ext_count() as u32 {
-                let got_in: Vec<u32> = s.reverse.neighbors(v).collect();
-                if got_in != want_in[v as usize] {
-                    return fail(format!(
-                        "shard {}: reverse row of local {v} out of canonical order",
-                        s.shard
-                    ));
-                }
+            // Reverse rows: the source graph's transpose, row by row —
+            // under a relabeling this is NOT the relabeled graph's
+            // canonical order, so compare through the translation.
+            if !self.rows_match(s, &s.reverse, &rev, false) {
+                return fail(format!(
+                    "shard {}: reverse rows disagree with the source graph's in-edges",
+                    s.shard
+                ));
             }
         }
         if total_edges != self.m {
@@ -398,11 +386,48 @@ impl Partition {
         }
         Ok(())
     }
+
+    /// Whether `local` (a CSR of shard `s`, `ext_count()` nodes) holds
+    /// exactly `global`'s rows of the owned nodes, in order, with columns
+    /// translated into `s`'s local ids, and empty ghost rows. Weights are
+    /// compared too when `weights` is set.
+    fn rows_match(
+        &self,
+        s: &ShardPlan,
+        local: &CsrGraph,
+        global: &CsrGraph,
+        weights: bool,
+    ) -> bool {
+        let owned = s.owned_count();
+        let (lrow, lcol) = (local.row_offsets(), local.col_indices());
+        let (grow, gcol) = (global.row_offsets(), global.col_indices());
+        if lrow[owned] as usize != local.edge_count() {
+            return false;
+        }
+        (0..owned).all(|v| {
+            let old = self.to_original_id(s.start + v as u32) as usize;
+            let (lo, hi) = (lrow[v] as usize, lrow[v + 1] as usize);
+            let (glo, ghi) = (grow[old] as usize, grow[old + 1] as usize);
+            hi - lo == ghi - glo
+                && (lo..hi).zip(glo..ghi).all(|(le, ge)| {
+                    s.to_global(lcol[le]) == self.to_partition_id(gcol[ge])
+                        && (!weights || local.edge_weight_at(le) == global.edge_weight_at(ge))
+                })
+        })
+    }
 }
 
-/// Partitions `g` into `shards` 1D vertex shards. The result is validated
-/// before it is returned, so a `Ok(_)` partition always satisfies the
-/// invariants [`Partition::validate`] documents.
+/// Marks a remote node as a ghost of the shard being built, before ghost
+/// ids are assigned (never a valid local id: ids stay below `n`).
+const GHOST_MARK: u32 = u32::MAX - 1;
+/// A node that is neither owned nor a ghost of the shard being built.
+const ABSENT: u32 = u32::MAX;
+
+/// Partitions `g` into `shards` 1D vertex shards in `O(n + m)` time and
+/// memory (plus an `O(n)` ghost-numbering sweep per shard with cut
+/// edges). The result is validated before it is returned, so a `Ok(_)`
+/// partition always satisfies the invariants [`Partition::validate`]
+/// documents.
 pub fn partition(
     g: &CsrGraph,
     shards: usize,
@@ -427,111 +452,111 @@ pub fn partition(
     };
     let work: &CsrGraph = relabeled.as_ref().unwrap_or(g);
     let boundaries = boundaries(work, shards, strategy);
-    let owner = |node: NodeId| -> usize {
-        // Last boundary <= node; boundaries is sorted with k+1 entries.
-        boundaries.partition_point(|&b| b <= node) - 1
-    };
+    let (row, col) = (work.row_offsets(), work.col_indices());
 
-    // One pass over the global edges discovers every ghost relationship:
-    // a cut edge (u, v) makes v a ghost of owner(u) (forward target) and
-    // u a ghost of owner(v) (reverse source).
-    let mut ghost_sets: Vec<Vec<NodeId>> = vec![Vec::new(); shards];
-    let mut cut_out = vec![0usize; shards];
-    let mut cut_in = vec![0usize; shards];
-    for (u, v, _) in work.edges() {
-        let (su, sv) = (owner(u), owner(v));
-        if su != sv {
-            ghost_sets[su].push(v);
-            ghost_sets[sv].push(u);
-            cut_out[su] += 1;
-            cut_in[sv] += 1;
+    // The reverse CSRs list in-neighbors in the *source graph's*
+    // canonical `(source, ordinal)` edge order — the order the
+    // deterministic PageRank gather sums in. `relabel::apply` keeps each
+    // row's edge order, so walking the relabeled rows in original-id
+    // order replays that stream. One stable counting sort by destination
+    // over it transposes every shard at once: owned ranges tile [0, n),
+    // so shard `s`'s in-edges are the contiguous slice
+    // `in_src[in_off[start]..in_off[end]]`, in partition-space ids.
+    let mut in_off = vec![0u32; n + 1];
+    for &d in col {
+        in_off[d as usize + 1] += 1;
+    }
+    for v in 0..n {
+        in_off[v + 1] += in_off[v];
+    }
+    let mut in_src = vec![0u32; m];
+    let mut cursor = in_off[..n].to_vec();
+    for old in 0..n as u32 {
+        let u = relabeling.as_ref().map_or(old, |r| r.perm[old as usize]);
+        for &d in &col[row[u as usize] as usize..row[u as usize + 1] as usize] {
+            in_src[cursor[d as usize] as usize] = u;
+            cursor[d as usize] += 1;
         }
     }
-    for set in &mut ghost_sets {
-        set.sort_unstable();
-        set.dedup();
-    }
 
-    // The reverse CSRs must list in-neighbors in the *source graph's*
-    // canonical `(source, ordinal)` edge order — the order the
-    // deterministic PageRank gather sums in. Under a relabeling that
-    // stream is not the relabeled graph's row order, so materialize it
-    // once, translated.
-    let canon_edges: Option<Vec<(NodeId, NodeId)>> = relabeling.as_ref().map(|r| {
-        g.edges()
-            .map(|(u, v, _)| (r.perm[u as usize], r.perm[v as usize]))
-            .collect()
-    });
-    let each_canonical_edge = |f: &mut dyn FnMut(NodeId, NodeId)| match &canon_edges {
-        Some(es) => es.iter().for_each(|&(u, v)| f(u, v)),
-        None => work.edges().for_each(|(u, v, _)| f(u, v)),
-    };
-
-    let weighted = g.is_weighted();
+    // One dense global -> local map, reused shard by shard: owned nodes
+    // by offset, remote endpoints of owned out- and in-edges marked, then
+    // numbered in ascending global order to form the ghost table.
+    let mut local_id = vec![ABSENT; n];
     let mut plans = Vec::with_capacity(shards);
     for s in 0..shards {
         let (start, end) = (boundaries[s], boundaries[s + 1]);
+        let owns = |v: NodeId| (start..end).contains(&v);
         let owned = (end - start) as usize;
-        let ghosts = std::mem::take(&mut ghost_sets[s]);
-        let ext = owned + ghosts.len();
-        let to_local = |node: NodeId| -> u32 {
-            if (start..end).contains(&node) {
-                node - start
-            } else {
-                // Present by construction of the ghost sets above.
-                owned as u32 + ghosts.binary_search(&node).expect("ghost present") as u32
-            }
-        };
-
-        // Forward CSR: owned rows sliced from the global graph, columns
-        // renamed; ghost rows empty.
-        let mut row = Vec::with_capacity(ext + 1);
-        row.push(0u32);
-        let mut col = Vec::new();
-        let mut wts = weighted.then(Vec::new);
+        let out_edges = row[start as usize] as usize..row[end as usize] as usize;
+        let in_edges = in_off[start as usize] as usize..in_off[end as usize] as usize;
+        for v in start..end {
+            local_id[v as usize] = v - start;
+        }
         let mut boundary_sources = Vec::new();
+        let mut cut_out_edges = 0;
         for v in start..end {
             let mut cuts = false;
-            for (d, w) in work.weighted_neighbors(v) {
-                cuts |= !(start..end).contains(&d);
-                col.push(to_local(d));
-                if let Some(ws) = wts.as_mut() {
-                    ws.push(w);
+            for &d in &col[row[v as usize] as usize..row[v as usize + 1] as usize] {
+                if !owns(d) {
+                    local_id[d as usize] = GHOST_MARK;
+                    cut_out_edges += 1;
+                    cuts = true;
                 }
             }
-            row.push(col.len() as u32);
             if cuts {
                 boundary_sources.push(v - start);
             }
         }
-        row.resize(ext + 1, col.len() as u32);
-        let local = CsrGraph::from_raw(row, col, wts)?;
-
-        // Reverse CSR via a stable counting sort over the global edge
-        // order, exactly like `CsrGraph::reverse`, restricted to edges
-        // terminating in this shard — so each owned row lists its
-        // in-neighbors in ascending global (source, ordinal) order.
-        let mut in_deg = vec![0u32; ext];
-        each_canonical_edge(&mut |_, v| {
-            if (start..end).contains(&v) {
-                in_deg[(v - start) as usize] += 1;
+        let mut cut_in_edges = 0;
+        for &u in &in_src[in_edges.clone()] {
+            if !owns(u) {
+                local_id[u as usize] = GHOST_MARK;
+                cut_in_edges += 1;
             }
-        });
-        let mut rrow = vec![0u32; ext + 1];
-        for i in 0..ext {
-            rrow[i + 1] = rrow[i] + in_deg[i];
         }
-        let mut rcol = vec![0u32; rrow[ext] as usize];
-        let mut cursor: Vec<u32> = rrow[..ext].to_vec();
-        each_canonical_edge(&mut |u, v| {
-            if (start..end).contains(&v) {
-                let slot = cursor[(v - start) as usize] as usize;
-                cursor[(v - start) as usize] += 1;
-                rcol[slot] = to_local(u);
+        let mut ghosts = Vec::new();
+        if cut_out_edges + cut_in_edges > 0 {
+            for (v, id) in local_id.iter_mut().enumerate() {
+                if *id == GHOST_MARK {
+                    *id = (owned + ghosts.len()) as u32;
+                    ghosts.push(v as NodeId);
+                }
             }
-        });
+        }
+        let ext = owned + ghosts.len();
+
+        // Forward CSR: owned rows sliced from the global graph, columns
+        // renamed; ghost rows empty.
+        let base = row[start as usize];
+        let mut lrow: Vec<u32> = row[start as usize..=end as usize]
+            .iter()
+            .map(|&r| r - base)
+            .collect();
+        lrow.resize(ext + 1, out_edges.len() as u32);
+        let lcol = col[out_edges.clone()]
+            .iter()
+            .map(|&d| local_id[d as usize])
+            .collect();
+        let lw = work.weight_slice().map(|w| w[out_edges].to_vec());
+        let local = CsrGraph::from_raw(lrow, lcol, lw)?;
+
+        // Reverse CSR: this shard's slice of the transpose, renamed.
+        let rbase = in_off[start as usize];
+        let mut rrow: Vec<u32> = in_off[start as usize..=end as usize]
+            .iter()
+            .map(|&r| r - rbase)
+            .collect();
+        rrow.resize(ext + 1, in_edges.len() as u32);
+        let rcol = in_src[in_edges]
+            .iter()
+            .map(|&u| local_id[u as usize])
+            .collect();
         let reverse = CsrGraph::from_raw(rrow, rcol, None)?;
 
+        for v in (start..end).chain(ghosts.iter().copied()) {
+            local_id[v as usize] = ABSENT;
+        }
         plans.push(ShardPlan {
             shard: s,
             start,
@@ -540,8 +565,8 @@ pub fn partition(
             reverse,
             ghosts,
             boundary_sources,
-            cut_out_edges: cut_out[s],
-            cut_in_edges: cut_in[s],
+            cut_out_edges,
+            cut_in_edges,
         });
     }
 
@@ -549,8 +574,8 @@ pub fn partition(
         n,
         m,
         strategy,
+        cut_edges: plans.iter().map(|p| p.cut_out_edges).sum(),
         shards: plans,
-        cut_edges: cut_out.iter().sum(),
         relabeling,
     };
     part.validate(g)?;

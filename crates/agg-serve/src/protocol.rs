@@ -16,16 +16,14 @@
 //! {"op":"query","id":7,"graph":"amazon","query":{"algo":"bfs","src":4}}
 //! {"op":"query","id":8,"graph":"web","query":{"algo":"pagerank","damping":0.85,"epsilon":0.0001}}
 //! {"op":"update","id":9,"graph":"amazon","updates":[{"op":"insert","src":3,"dst":9,"w":2},{"op":"delete","src":0,"dst":4}]}
-//! {"op":"bump_epoch","id":10,"graph":"amazon"}
-//! {"op":"stats","id":11}
+//! {"op":"stats","id":10}
 //! ```
 //!
 //! Response documents (`"status"` selects the variant): `"ok"` carries
 //! the epoch the result was computed at, whether it was served from the
 //! cache, and the value vector; `"shed"` is the typed admission-control
 //! overload answer; `"error"` carries the engine/protocol rejection;
-//! `"epoch"` acknowledges a bump with the new epoch and the number of
-//! cache entries it stranded; `"updated"` acknowledges a dynamic update
+//! `"updated"` acknowledges a dynamic update
 //! batch with the new epoch and what happened to the stale cache
 //! entries; `"stats"` carries a [`ServeStats`].
 
@@ -111,15 +109,6 @@ pub enum Request {
         /// The edge updates, in application order.
         updates: UpdateBatch,
     },
-    /// Bump a hosted graph's epoch without mutating it — the blunt
-    /// invalidation hook. Strands every cache entry of older epochs for
-    /// that graph.
-    BumpEpoch {
-        /// Caller-chosen correlation id.
-        id: u64,
-        /// Hosted graph name.
-        graph: String,
-    },
     /// Read the server's lifetime counters.
     Stats {
         /// Caller-chosen correlation id.
@@ -131,10 +120,7 @@ impl Request {
     /// The correlation id this request carries.
     pub fn id(&self) -> u64 {
         match self {
-            Request::Query { id, .. }
-            | Request::Update { id, .. }
-            | Request::BumpEpoch { id, .. }
-            | Request::Stats { id } => *id,
+            Request::Query { id, .. } | Request::Update { id, .. } | Request::Stats { id } => *id,
         }
     }
 
@@ -155,11 +141,6 @@ impl Request {
                     "updates",
                     Json::arr(updates.updates.iter().map(update_to_json)),
                 ),
-            ]),
-            Request::BumpEpoch { id, graph } => Json::obj([
-                ("op", "bump_epoch".into()),
-                ("id", (*id).into()),
-                ("graph", graph.clone().into()),
             ]),
             Request::Stats { id } => {
                 Json::obj([("op", "stats".into()), ("id", (*id).into())])
@@ -195,10 +176,6 @@ impl Request {
                     updates: UpdateBatch::from_updates(updates),
                 })
             }
-            "bump_epoch" => Ok(Request::BumpEpoch {
-                id,
-                graph: field_str(&doc, "graph")?.to_string(),
-            }),
             "stats" => Ok(Request::Stats { id }),
             other => Err(ServeError::Protocol(format!("unknown op '{other}'"))),
         }
@@ -238,15 +215,6 @@ pub enum Response {
         /// What went wrong.
         detail: String,
     },
-    /// Acknowledges a [`Request::BumpEpoch`].
-    EpochBumped {
-        /// Echo of the request id.
-        id: u64,
-        /// The graph's new (monotonic) epoch.
-        epoch: u64,
-        /// Cache entries stranded by the bump.
-        invalidated: usize,
-    },
     /// Acknowledges a [`Request::Update`].
     Updated {
         /// Echo of the request id.
@@ -281,7 +249,6 @@ impl Response {
             Response::Result { id, .. }
             | Response::Overloaded { id, .. }
             | Response::Error { id, .. }
-            | Response::EpochBumped { id, .. }
             | Response::Updated { id, .. }
             | Response::Stats { id, .. } => *id,
         }
@@ -316,16 +283,6 @@ impl Response {
                 ("status", "error".into()),
                 ("id", (*id).into()),
                 ("detail", detail.clone().into()),
-            ]),
-            Response::EpochBumped {
-                id,
-                epoch,
-                invalidated,
-            } => Json::obj([
-                ("status", "epoch".into()),
-                ("id", (*id).into()),
-                ("epoch", (*epoch).into()),
-                ("invalidated", (*invalidated).into()),
             ]),
             Response::Updated {
                 id,
@@ -386,11 +343,6 @@ impl Response {
                 id,
                 detail: field_str(&doc, "detail")?.to_string(),
             }),
-            "epoch" => Ok(Response::EpochBumped {
-                id,
-                epoch: field_u64(&doc, "epoch")?,
-                invalidated: field_u64(&doc, "invalidated")? as usize,
-            }),
             "updated" => Ok(Response::Updated {
                 id,
                 epoch: field_u64(&doc, "epoch")?,
@@ -426,7 +378,7 @@ pub struct ServeStats {
     pub cache_misses: u64,
     /// `Session::run_batch` calls issued by the micro-batcher.
     pub batches: u64,
-    /// Epoch bumps applied (explicit bumps and effective update batches).
+    /// Epoch bumps applied (one per effective update batch).
     pub epoch_bumps: u64,
     /// Update batches received (including no-ops).
     pub updates: u64,
@@ -592,10 +544,6 @@ mod tests {
             graph: "web".into(),
             query: Query::Cc,
         });
-        round_trip_request(Request::BumpEpoch {
-            id: 4,
-            graph: "amazon".into(),
-        });
         round_trip_request(Request::Stats { id: 5 });
         let mut updates = UpdateBatch::new();
         updates.insert(3, 9, 2).delete(0, 4).insert(7, 7, 1);
@@ -682,11 +630,6 @@ mod tests {
         round_trip_response(Response::Error {
             id: 3,
             detail: "invalid query: source 99 out of range".into(),
-        });
-        round_trip_response(Response::EpochBumped {
-            id: 4,
-            epoch: 5,
-            invalidated: 12,
         });
         round_trip_response(Response::Updated {
             id: 6,

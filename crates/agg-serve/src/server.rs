@@ -19,7 +19,7 @@
 //! query requests are `try_send` into the bounded queue and a full queue
 //! is answered immediately with [`Response::Overloaded`] — the client
 //! always hears back, the service thread is never blocked by overload.
-//! Control requests (epoch bumps, stats) use a blocking send instead:
+//! Control requests (updates, stats) use a blocking send instead:
 //! they are rare, must not be shed, and back-pressure on them is fine.
 
 use crate::cache::ResultCache;
@@ -102,9 +102,10 @@ impl Hosted {
     }
 
     /// Bumps the epoch and strands this graph's stale cache entries,
-    /// returning the count removed — the blunt invalidation hook
-    /// (no repair; [`apply_update`](Self::apply_update) is the surgical
-    /// path).
+    /// returning the count removed — the blunt invalidation hook the
+    /// trace replay applies for `Event::BumpEpoch` (no repair;
+    /// [`apply_update`](Self::apply_update) is the surgical path, and the
+    /// only one on the wire).
     pub fn bump_epoch(&mut self, cache: &mut ResultCache) -> usize {
         self.epoch += 1;
         cache.invalidate_before(&self.name, self.epoch)
@@ -331,11 +332,6 @@ enum Work {
         query: Query,
         reply: Reply,
     },
-    Bump {
-        id: u64,
-        graph: String,
-        reply: Reply,
-    },
     Update {
         id: u64,
         graph: String,
@@ -490,11 +486,6 @@ fn reader_loop(stream: TcpStream, tx: &SyncSender<Work>, capacity: usize, stats:
                     Err(TrySendError::Disconnected(_)) => return,
                 }
             }
-            Request::BumpEpoch { id, graph } => Work::Bump {
-                id,
-                graph,
-                reply: Arc::clone(&reply),
-            },
             Request::Update { id, graph, updates } => Work::Update {
                 id,
                 graph,
@@ -578,27 +569,6 @@ fn handle_control(
     stats: &StatsCells,
 ) {
     match work {
-        Work::Bump { id, graph, reply } => {
-            let resp = match hosts.get_mut(&graph) {
-                Some(h) => {
-                    let invalidated = h.bump_epoch(cache);
-                    stats.epoch_bumps.fetch_add(1, Ordering::Relaxed);
-                    Response::EpochBumped {
-                        id,
-                        epoch: h.epoch,
-                        invalidated,
-                    }
-                }
-                None => {
-                    stats.errors.fetch_add(1, Ordering::Relaxed);
-                    Response::Error {
-                        id,
-                        detail: ServeError::UnknownGraph(graph).to_string(),
-                    }
-                }
-            };
-            let _ = send_response(&reply, &resp);
-        }
         Work::Update {
             id,
             graph,
@@ -758,15 +728,6 @@ impl ServeClient {
         })
     }
 
-    /// Bumps `graph`'s epoch on the server.
-    pub fn bump_epoch(&mut self, graph: &str) -> Result<Response, ServeError> {
-        let id = self.fresh_id();
-        self.request(&Request::BumpEpoch {
-            id,
-            graph: graph.to_string(),
-        })
-    }
-
     /// Applies a batch of edge updates to `graph` on the server.
     pub fn update(
         &mut self,
@@ -888,31 +849,28 @@ mod tests {
     }
 
     #[test]
-    fn epoch_bumps_are_acknowledged_and_invalidate_server_side_entries() {
+    fn a_bump_epoch_frame_is_a_typed_error_and_the_connection_stays_usable() {
         let config = ServeConfig::default();
         let server = Server::start(hosts(&config.device), config).expect("start");
         let mut client = ServeClient::connect(server.addr()).expect("connect");
-        // Warm the cache on graph a.
-        client.query("a", Query::Cc).expect("warm");
-        match client.bump_epoch("a").expect("bump") {
-            Response::EpochBumped {
-                epoch, invalidated, ..
-            } => {
-                assert_eq!(epoch, 1);
-                assert_eq!(invalidated, 1, "exactly the warmed entry is stranded");
+        write_frame(&mut client.stream, br#"{"op":"bump_epoch","id":7,"graph":"a"}"#)
+            .expect("write");
+        let frame = read_frame(&mut client.stream)
+            .expect("read")
+            .expect("a response to the frame");
+        match Response::decode(&frame).expect("decode") {
+            Response::Error { detail, .. } => {
+                assert!(detail.contains("unknown op 'bump_epoch'"), "{detail}");
             }
-            other => panic!("expected an epoch ack, got {other:?}"),
+            other => panic!("expected an error, got {other:?}"),
         }
-        // Same query again: recomputed (miss), served at the new epoch.
-        match client.query("a", Query::Cc).expect("requery") {
-            Response::Result { epoch, cached, .. } => {
-                assert_eq!(epoch, 1);
-                assert!(!cached, "stale entry must not be served after a bump");
-            }
-            other => panic!("expected a result, got {other:?}"),
-        }
+        assert!(matches!(
+            client.query("a", Query::Cc).expect("roundtrip"),
+            Response::Result { epoch: 0, .. }
+        ));
         let stats = server.shutdown();
-        assert_eq!(stats.epoch_bumps, 1);
+        assert_eq!(stats.errors, 1);
+        assert_eq!(stats.epoch_bumps, 0);
     }
 
     #[test]
