@@ -11,7 +11,8 @@
 //! rewrite of the builder or the partitioner must reproduce it byte for
 //! byte. Tiny-scale rows run in every `cargo test`; the small-scale rows
 //! take a few seconds in a debug build and are `#[ignore]`d there (CI runs
-//! them in release with `--include-ignored`).
+//! them in release with `--include-ignored`). The paper-scale rows are
+//! always `#[ignore]`d and run in release on their own.
 //!
 //! On a mismatch the test writes the rows it computed to
 //! `target/structure_golden.<scale>.actual.txt` and fails.
@@ -144,20 +145,14 @@ fn tiny_graphs_and_shard_plans_match_the_golden_table() {
     check(Scale::Tiny, rows);
 }
 
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "small-scale generation is slow in debug builds"
-)]
-fn small_graphs_and_shard_plans_match_the_golden_table() {
+/// Rows for `datasets` at `scale`: each generated CSR, then the 2-shard
+/// degree-balanced plan of its weighted twin.
+fn scale_rows(scale: Scale, datasets: &[Dataset]) -> Vec<String> {
     let mut rows = Vec::new();
-    for d in [Dataset::CiteSeer, Dataset::Google] {
-        let label = format!("{}/small", d.name().to_lowercase());
-        rows.push(format!(
-            "csr {label} {}",
-            csr(&d.generate(Scale::Small, SEED))
-        ));
-        let g = d.generate_weighted(Scale::Small, SEED, MAX_WEIGHT);
+    for &d in datasets {
+        let label = format!("{}/{}", d.name().to_lowercase(), scale_name(scale));
+        rows.push(format!("csr {label} {}", csr(&d.generate(scale, SEED))));
+        let g = d.generate_weighted(scale, SEED, MAX_WEIGHT);
         rows.extend(partition_rows(
             &label,
             &g,
@@ -165,5 +160,26 @@ fn small_graphs_and_shard_plans_match_the_golden_table() {
             PartitionStrategy::DegreeBalanced,
         ));
     }
-    check(Scale::Small, rows);
+    rows
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "small-scale generation is slow in debug builds"
+)]
+fn small_graphs_and_shard_plans_match_the_golden_table() {
+    check(Scale::Small, scale_rows(Scale::Small, &Dataset::ALL));
+}
+
+/// The two powerlaw datasets at paper size (CiteSeer has ~25.8M edges).
+/// Always ignored: ~10-20 s and ~1 GB in a release build. Run it with
+/// `cargo test --release --test structure_golden paper_scale -- --ignored`.
+#[test]
+#[ignore = "paper-scale generation needs a release build and ~1 GB"]
+fn paper_scale_graphs_and_shard_plans_match_the_golden_table() {
+    check(
+        Scale::Paper,
+        scale_rows(Scale::Paper, &[Dataset::CiteSeer, Dataset::Google]),
+    );
 }
