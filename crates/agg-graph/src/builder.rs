@@ -101,12 +101,7 @@ impl GraphBuilder {
     /// node; the relative order of a node's out-edges follows insertion
     /// order (or sorted destination order after [`GraphBuilder::dedup`]).
     pub fn build(self) -> Result<CsrGraph, GraphError> {
-        if self.node_count as u64 >= u32::MAX as u64 {
-            return Err(GraphError::TooLarge {
-                what: "nodes",
-                requested: self.node_count as u64,
-            });
-        }
+        check_node_count(self.node_count)?;
         let n = self.node_count;
         let mut degree = vec![0u32; n];
         for &(src, _, _) in &self.edges {
@@ -165,25 +160,54 @@ impl GraphBuilder {
     }
 }
 
-/// Sorts each CSR row of packed `dst << 32 | weight` edges and keeps the
-/// first edge per destination (the minimum weight), compacting
-/// `row_edges` in place and rewriting `offsets`. Rows are already grouped
-/// by source, and `(dst, weight)` is a total order, so this equals a
-/// global sort of the `(src, dst, weight)` tuples followed by a
-/// `(src, dst)` dedup.
+/// Rejects node counts whose ids or offsets leave the device's `u32`.
+pub(crate) fn check_node_count(n: usize) -> Result<(), GraphError> {
+    if n as u64 >= u32::MAX as u64 {
+        return Err(GraphError::TooLarge {
+            what: "nodes",
+            requested: n as u64,
+        });
+    }
+    Ok(())
+}
+
+/// An edge count as a CSR row offset, or `TooLarge` past `u32`.
+pub(crate) fn edge_offset(edges: usize) -> Result<u32, GraphError> {
+    u32::try_from(edges).map_err(|_| GraphError::TooLarge {
+        what: "edges",
+        requested: edges as u64,
+    })
+}
+
+/// The dedup rule, for one CSR row: sorts `row` and keeps the first
+/// entry per destination `dst(entry)`, compacted to the front. Returns
+/// the kept length. With entries packed `dst << 32 | weight`, the
+/// minimum weight wins; with bare destinations, each survives once.
+pub(crate) fn sort_dedup_row<T: Ord + Copy>(row: &mut [T], dst: impl Fn(T) -> NodeId) -> usize {
+    row.sort_unstable();
+    let mut kept = 0;
+    for e in 0..row.len() {
+        if kept == 0 || dst(row[kept - 1]) != dst(row[e]) {
+            row[kept] = row[e];
+            kept += 1;
+        }
+    }
+    kept
+}
+
+/// Applies [`sort_dedup_row`] to every CSR row of packed
+/// `dst << 32 | weight` edges, compacting `row_edges` in place and
+/// rewriting `offsets`. Rows are already grouped by source, and
+/// `(dst, weight)` is a total order, so this equals a global sort of the
+/// `(src, dst, weight)` tuples followed by a `(src, dst)` dedup.
 fn dedup_rows(offsets: &mut [u32], row_edges: &mut Vec<u64>) {
     let mut kept = 0usize;
     for v in 0..offsets.len() - 1 {
         let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
         offsets[v] = kept as u32;
-        row_edges[lo..hi].sort_unstable();
-        let row_start = kept;
-        for e in lo..hi {
-            if kept == row_start || row_edges[kept - 1] >> 32 != row_edges[e] >> 32 {
-                row_edges[kept] = row_edges[e];
-                kept += 1;
-            }
-        }
+        let len = sort_dedup_row(&mut row_edges[lo..hi], |e| (e >> 32) as NodeId);
+        row_edges.copy_within(lo..lo + len, kept);
+        kept += len;
     }
     if let Some(last) = offsets.last_mut() {
         *last = kept as u32;

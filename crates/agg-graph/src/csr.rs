@@ -204,6 +204,16 @@ impl CsrGraph {
 
     /// The transpose (edge-reversed) graph. Weights follow their edges.
     pub fn reverse(&self) -> CsrGraph {
+        self.transpose(true)
+    }
+
+    /// The transpose's topology alone: [`CsrGraph::reverse`] without a
+    /// weight array, for callers that read only the reverse rows.
+    pub fn reverse_topology(&self) -> CsrGraph {
+        self.transpose(false)
+    }
+
+    fn transpose(&self, keep_weights: bool) -> CsrGraph {
         let n = self.node_count();
         let mut in_deg = vec![0u32; n];
         for &dst in &self.col_indices {
@@ -215,7 +225,8 @@ impl CsrGraph {
         }
         let m = self.col_indices.len();
         let mut cols = vec![0u32; m];
-        let mut weights = self.weights.as_ref().map(|_| vec![0u32; m]);
+        let src_weights = self.weights.as_ref().filter(|_| keep_weights);
+        let mut weights = src_weights.map(|_| vec![0u32; m]);
         // Stable counting sort by destination: rows walked in order, so
         // each reverse row lists its sources in (source, ordinal) order.
         let mut cursor = offsets[..n].to_vec();
@@ -225,7 +236,7 @@ impl CsrGraph {
                 let slot = cursor[dst] as usize;
                 cursor[dst] += 1;
                 cols[slot] = src as u32;
-                if let (Some(ws), Some(w)) = (weights.as_mut(), self.weights.as_ref()) {
+                if let (Some(ws), Some(w)) = (weights.as_mut(), src_weights) {
                     ws[slot] = w[e];
                 }
             }
@@ -239,7 +250,7 @@ impl CsrGraph {
 
     /// Whether every edge `(u, v)` has a reverse edge `(v, u)`.
     pub fn is_symmetric(&self) -> bool {
-        let rev = self.reverse();
+        let rev = self.reverse_topology();
         let mut fwd: Vec<(u32, u32)> = self.edges().map(|(s, d, _)| (s, d)).collect();
         let mut bwd: Vec<(u32, u32)> = rev.edges().map(|(s, d, _)| (s, d)).collect();
         fwd.sort_unstable();
@@ -397,6 +408,17 @@ mod tests {
             re,
             vec![(0, 2, 40), (1, 0, 10), (2, 0, 20), (2, 1, 30), (3, 2, 50)]
         );
+    }
+
+    #[test]
+    fn reverse_topology_is_the_reverse_without_weights() {
+        let g = figure7_like()
+            .with_weights(vec![10, 20, 30, 40, 50])
+            .unwrap();
+        let (r, t) = (g.reverse(), g.reverse_topology());
+        assert_eq!(t.row_offsets(), r.row_offsets());
+        assert_eq!(t.col_indices(), r.col_indices());
+        assert!(!t.is_weighted());
     }
 
     #[test]

@@ -7,6 +7,25 @@
 //! (Figure 1), and — for the road network — diameter. The [`crate::datasets`]
 //! module binds concrete parameterizations of these generators to the six
 //! datasets; this module hosts the mechanisms.
+//!
+//! **Row-streamed construction.** The generators that emit edges source
+//! by source — [`powerlaw()`] and [`regular_mix()`] — write CSR rows
+//! directly: each row is appended to one column array and closed with
+//! its end offset, and the two arrays go straight to
+//! [`CsrGraph::from_raw`](crate::CsrGraph::from_raw), with no edge
+//! tuples and no sort by source. `powerlaw` sorts and dedups each row in
+//! place with the same per-row rule as the dedup
+//! [`GraphBuilder`](crate::GraphBuilder); `regular_mix` keeps draw order.
+//! The generators that emit edges out of source order (R-MAT, grid,
+//! small-world, Erdős–Rényi) and the file parsers go through
+//! `GraphBuilder`.
+//!
+//! **Exactness contract.** A generated graph is a pure function of its
+//! configuration and the seeded RNG stream, and `tests/structure_golden.rs`
+//! pins every dataset's CSR byte for byte. A change to how a generator
+//! runs must keep every draw and every row: the power-law sampler's
+//! guide table, for one, returns exactly the index a binary search over
+//! the whole cumulative table would.
 
 pub mod erdos;
 pub mod grid;
@@ -25,35 +44,36 @@ pub use smallworld::{watts_strogatz, WattsStrogatzConfig};
 use crate::csr::NodeId;
 use rand::Rng;
 
-/// Samples `count` node ids in `0..n`, distinct from each other and from
-/// `exclude`, by rejection. Falls back to allowing repeats if `count`
+/// Appends `count` node ids in `0..n` to `row`, distinct from each other
+/// and from `exclude`, by rejection (entries already in `row` before the
+/// call are not consulted). Falls back to allowing repeats if `count`
 /// approaches `n` (degenerate tiny graphs), so it always terminates.
 pub(crate) fn sample_distinct_targets<R: Rng>(
     rng: &mut R,
     n: u32,
     count: usize,
     exclude: NodeId,
-) -> Vec<NodeId> {
-    let mut out = Vec::with_capacity(count);
+    row: &mut Vec<NodeId>,
+) {
     if n <= 1 {
-        return out;
+        return;
     }
+    let start = row.len();
     let relax = count as u64 >= (n as u64).saturating_sub(1);
     let mut attempts = 0usize;
-    while out.len() < count {
+    while row.len() - start < count {
         let t = rng.gen_range(0..n);
         attempts += 1;
-        let dup = t == exclude || (!relax && out.contains(&t));
+        let dup = t == exclude || (!relax && row[start..].contains(&t));
         if !dup || (relax && t != exclude) || attempts > count * 64 {
             if t != exclude {
-                out.push(t);
+                row.push(t);
             } else if attempts > count * 64 {
                 // pathological tiny graph: accept a self-loop-free fallback
-                out.push((exclude + 1) % n);
+                row.push((exclude + 1) % n);
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -65,7 +85,9 @@ mod tests {
     fn distinct_targets_are_distinct_and_exclude_source() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         for _ in 0..50 {
-            let t = sample_distinct_targets(&mut rng, 100, 10, 5);
+            let mut t = vec![5, 5];
+            sample_distinct_targets(&mut rng, 100, 10, 5, &mut t);
+            let t = t.split_off(2);
             assert_eq!(t.len(), 10);
             assert!(!t.contains(&5));
             let mut s = t.clone();
@@ -78,8 +100,10 @@ mod tests {
     #[test]
     fn degenerate_sizes_terminate() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        assert!(sample_distinct_targets(&mut rng, 1, 5, 0).is_empty());
-        let t = sample_distinct_targets(&mut rng, 2, 3, 0);
+        let mut t = Vec::new();
+        sample_distinct_targets(&mut rng, 1, 5, 0, &mut t);
+        assert!(t.is_empty());
+        sample_distinct_targets(&mut rng, 2, 3, 0, &mut t);
         assert_eq!(t.len(), 3); // repeats allowed when count >= n - 1
         assert!(t.iter().all(|&x| x == 1));
     }

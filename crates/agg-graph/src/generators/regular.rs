@@ -5,7 +5,7 @@
 //! 1 and 9". This generator reproduces exactly that shape with uniform
 //! random destinations.
 
-use crate::builder::GraphBuilder;
+use crate::builder::{check_node_count, edge_offset};
 use crate::csr::CsrGraph;
 use crate::error::GraphError;
 use crate::generators::sample_distinct_targets;
@@ -38,18 +38,22 @@ impl Default for RegularMixConfig {
 /// Generates a directed graph with the regular degree mix described above.
 pub fn regular_mix<R: Rng>(rng: &mut R, cfg: &RegularMixConfig) -> Result<CsrGraph, GraphError> {
     let n = cfg.nodes;
-    let mut b = GraphBuilder::new(n);
+    check_node_count(n)?;
+    // Rows are emitted in source order and keep their draw order, so
+    // they go straight into the CSR.
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0);
+    let mut cols = Vec::new();
     for v in 0..n as u32 {
         let d = if rng.gen_bool(cfg.fixed_fraction.clamp(0.0, 1.0)) {
             cfg.fixed_degree
         } else {
             rng.gen_range(1..=cfg.uniform_max.max(1))
         };
-        for t in sample_distinct_targets(rng, n as u32, d, v) {
-            b.add_edge(v, t)?;
-        }
+        sample_distinct_targets(rng, n as u32, d, v, &mut cols);
+        offsets.push(edge_offset(cols.len())?);
     }
-    b.build()
+    CsrGraph::from_raw(offsets, cols, None)
 }
 
 #[cfg(test)]

@@ -331,7 +331,7 @@ impl Partition {
         if next as usize != self.n {
             return fail(format!("shard ranges end at {next}, expected {}", self.n));
         }
-        let rev = g.reverse();
+        let rev = g.reverse_topology();
         let mut total_edges = 0usize;
         let mut total_cut = 0usize;
         for s in &self.shards {

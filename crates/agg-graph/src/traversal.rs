@@ -166,7 +166,7 @@ pub fn is_bfs_levels(g: &CsrGraph, src: NodeId, level: &[u32]) -> bool {
             return false; // an edge could still lower v's level
         }
     }
-    let rev = g.reverse();
+    let rev = g.reverse_topology();
     for v in 0..g.node_count() as u32 {
         let lv = level[v as usize];
         if v == src || lv == INF {

@@ -67,8 +67,7 @@ impl DeviceGraph {
         if self.rrow.is_some() {
             return;
         }
-        let rev = g.reverse();
-        self.upload_reverse_graph(dev, &rev);
+        self.upload_reverse_graph(dev, &g.reverse_topology());
     }
 
     /// Uploads an already-computed transpose adjacency. The sharded

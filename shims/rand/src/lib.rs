@@ -12,8 +12,9 @@
 //! all the synthetic-dataset generators need. It is **not** the same
 //! stream as upstream `StdRng` (ChaCha12), so datasets generated before
 //! and after the shim swap differ in the concrete edges while keeping
-//! identical statistical shape; nothing in the test suite pins exact
-//! generated topologies to the upstream stream.
+//! identical statistical shape. The workspace's golden table
+//! (`tests/structure_golden.rs`) pins every generated topology to *this*
+//! stream: a change to the shim or to any generator must keep it.
 
 /// A deterministic seedable random number generator.
 pub trait SeedableRng: Sized {
